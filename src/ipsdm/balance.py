@@ -109,6 +109,13 @@ def _k_nearest(d2_row: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray
     return candidates[order[:k]]
 
 
+def check_params(k: int, beta: float) -> None:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+
+
 def plan_adasyn(
     vectors: list[CountVector],
     labels: list[int],
@@ -124,10 +131,7 @@ def plan_adasyn(
     """
     if len(vectors) != len(labels):
         raise ValueError(f"{len(vectors)} vectors but {len(labels)} labels")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    check_params(k, beta)
     labels = [int(label) for label in labels]
     counts: dict[int, int] = {}
     for label in labels:

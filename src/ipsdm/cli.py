@@ -21,11 +21,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import __version__
-from .balance import balance_corpus, balance_report
+from .balance import DEFAULT_BETA, DEFAULT_K, balance_corpus, balance_report, check_params
 from .corpus import (
     Corpus,
     Label,
@@ -38,6 +40,7 @@ from .corpus import (
 )
 from .errors import (
     ConfigError,
+    DivergedLoss,
     InputError,
     IpsdmError,
     NumericError,
@@ -51,17 +54,14 @@ from .metrics import (
     split_scores_from_dict,
 )
 from .model import ModelConfig, predict
-from .optim import OptimizerHyperparams
-from .tokenizer import load_vocab, save_vocab, train_vocab, vocab_sha256
+from .tokenizer import check_vocab_size, load_vocab, save_vocab, train_vocab, vocab_sha256
 from .trainer import (
-    EarlyStopping,
     TrainingConfig,
     evaluate as evaluate_checkpoint,
     load_checkpoint,
     save_checkpoint,
     train as run_training,
 )
-from .errors import DivergedLoss
 
 log = logging.getLogger(__name__)
 
@@ -89,62 +89,96 @@ class SourceConfig:
 @dataclass(frozen=True)
 class BalanceSettings:
     enabled: bool = True
-    k: int = 5
-    beta: float = 1.0
+    k: int = DEFAULT_K
+    beta: float = DEFAULT_BETA
+
+    def validate(self) -> None:
+        check_params(self.k, self.beta)
 
 
 @dataclass(frozen=True)
 class TokenizerSettings:
     vocab_size: int = 8192
 
+    def validate(self) -> None:
+        check_vocab_size(self.vocab_size)
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    sources: list
+    sources: list[SourceConfig]
     split: SplitSpec
     balance: BalanceSettings
     tokenizer: TokenizerSettings
-    model: dict
-    training: dict
-    optimizer: OptimizerHyperparams
-    early_stopping: EarlyStopping
+    training: TrainingConfig  # model.vocab_size is 0 until train reads vocab.json
     output_dir: Path
 
     def path(self, name: str) -> Path:
         return self.output_dir / name
 
+    def validate(self) -> None:
+        """Range-check every section, naming the section of the first bad value."""
+        sections = {
+            "split": self.split,
+            "balance": self.balance,
+            "tokenizer": self.tokenizer,
+            "model": self.training.model,
+            "training.optimizer": self.training.optimizer,
+            "training.early_stopping": self.training.early_stopping,
+            "training": self.training,
+        }
+        for name, settings in sections.items():
+            try:
+                settings.validate()
+            except (ValueError, InputError) as err:
+                raise ConfigError(f"config section {name!r}: {err}") from None
 
-def _section(doc: dict, key: str, allowed: set[str]) -> dict:
-    data = doc.get(key, {})
+
+# The architecture sizes ModelConfig has no default for: a desk-scale model.
+_MODEL_DEFAULTS = {"num_layers": 2, "num_heads": 4, "d_model": 128, "d_ff": 256, "max_len": 128}
+
+
+def _matches(value, kind) -> bool:
+    """Whether a JSON value fits a field annotation; an int fits a float."""
+    if isinstance(kind, types.UnionType):
+        return any(_matches(value, option) for option in get_args(kind))
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def _from_section(cls, data, section: str, defaults=None, rejected=()):
+    """Build the dataclass cls from one config object.
+
+    Its keys are cls's fields except `rejected`; each value must match the
+    field's annotation, and a dataclass-typed field is read from a nested
+    object the same way. `defaults` fills in fields the object leaves out.
+    """
     if not isinstance(data, dict):
-        raise ConfigError(f"config section {key!r} must be an object")
-    unknown = set(data) - allowed
+        raise ConfigError(f"config section {section!r} must be an object")
+    unknown = set(data) - ({f.name for f in fields(cls)} - set(rejected))
     if unknown:
-        raise ConfigError(f"unknown keys in config section {key!r}: {sorted(unknown)}")
-    return data
-
-
-_MODEL_DEFAULTS = {
-    # desk-scale architecture; vocab_size is taken from the trained vocabulary
-    "num_layers": 2,
-    "num_heads": 4,
-    "d_model": 128,
-    "d_ff": 256,
-    "max_len": 128,
-    "dropout_rate": 0.1,
-    "pooling": "first_token",
-}
-
-_TRAINING_DEFAULTS = {
-    "train_batch_size": 32,
-    "val_batch_size": 64,
-    "num_epochs": 3,
-    "seed": 0,
-    "lr_schedule": "constant",
-}
+        raise ConfigError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    values = dict(defaults or {})
+    for key, value in data.items():
+        kind = hints[key]
+        if is_dataclass(kind):
+            value = _from_section(kind, value, f"{section}.{key}")
+        elif not _matches(value, kind):
+            name = getattr(kind, "__name__", str(kind))
+            raise ConfigError(f"config key {section}.{key} must be {name}, got {value!r}")
+        values[key] = value
+    try:
+        return cls(**values)
+    except TypeError as err:
+        raise ConfigError(f"config section {section!r}: {err}") from None
 
 
 def load_config(path) -> PipelineConfig:
+    """Read a config file into the library's dataclasses.
+
+    Keys and value types are checked here; value ranges by
+    PipelineConfig.validate(), once the overrides are applied.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -158,137 +192,70 @@ def load_config(path) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
 
-    data = _section(doc, "data", {"sources"})
-    raw_sources = data.get("sources", [])
-    if not isinstance(raw_sources, list):
+    data = doc.get("data", {})
+    if not isinstance(data, dict) or set(data) - {"sources"}:
+        raise ConfigError("config section 'data' must be an object whose only key is 'sources'")
+    sources = data.get("sources", [])
+    if not isinstance(sources, list):
         raise ConfigError("data.sources must be a list")
-    sources = []
-    for i, entry in enumerate(raw_sources):
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise ConfigError(f"data.sources[{i}] must be an object with a 'path'")
-        unknown = set(entry) - {"path", "text_column", "label_column"}
-        if unknown:
-            raise ConfigError(f"unknown keys in data.sources[{i}]: {sorted(unknown)}")
-        sources.append(SourceConfig(**entry))
+    output_dir = doc.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
 
-    split_data = _section(
-        doc, "split",
-        {"train_fraction", "val_fraction", "test_fraction", "seed", "stratified"},
+    model = _from_section(
+        ModelConfig, doc.get("model", {}), "model",
+        defaults={**_MODEL_DEFAULTS, "vocab_size": 0}, rejected=("vocab_size", "num_labels"),
     )
-    split_spec = SplitSpec(**split_data)
-
-    balance_data = _section(doc, "balance", {"enabled", "k", "beta"})
-    balance_settings = BalanceSettings(**balance_data)
-
-    tokenizer_data = _section(doc, "tokenizer", {"vocab_size"})
-    tokenizer_settings = TokenizerSettings(**tokenizer_data)
-
-    model_data = _section(doc, "model", set(_MODEL_DEFAULTS))
-    model = {**_MODEL_DEFAULTS, **model_data}
-
-    training_data = _section(
-        doc, "training",
-        set(_TRAINING_DEFAULTS) | {"optimizer", "early_stopping"},
-    )
-    optimizer_data = dict(training_data.pop("optimizer", {}))
-    unknown = set(optimizer_data) - {
-        "learning_rate", "beta1", "beta2", "epsilon", "weight_decay", "variant", "clip_max_norm",
-    }
-    if unknown:
-        raise ConfigError(f"unknown keys in training.optimizer: {sorted(unknown)}")
-    # The coupled update rule leaves zero-gradient parameters multiplying by
-    # lr*wd/eps each step, which blows up unused embedding rows; the pipeline
-    # therefore defaults to the decoupled rule unless the config insists.
-    optimizer_data.setdefault("variant", "decoupled")
-    stopping_data = training_data.pop("early_stopping", {})
-    unknown = set(stopping_data) - {"enabled", "patience", "metric"}
-    if unknown:
-        raise ConfigError(f"unknown keys in training.early_stopping: {sorted(unknown)}")
-    training = {**_TRAINING_DEFAULTS, **training_data}
-
-    try:
-        optimizer = OptimizerHyperparams(**optimizer_data)
-        early_stopping = EarlyStopping(**stopping_data)
-    except TypeError as err:
-        raise ConfigError(str(err)) from None
-
     return PipelineConfig(
-        sources=sources,
-        split=split_spec,
-        balance=balance_settings,
-        tokenizer=tokenizer_settings,
-        model=model,
-        training=training,
-        optimizer=optimizer,
-        early_stopping=early_stopping,
-        output_dir=Path(doc.get("output_dir", "out")),
+        sources=[
+            _from_section(SourceConfig, entry, f"data.sources[{i}]")
+            for i, entry in enumerate(sources)
+        ],
+        split=_from_section(SplitSpec, doc.get("split", {}), "split"),
+        balance=_from_section(BalanceSettings, doc.get("balance", {}), "balance"),
+        tokenizer=_from_section(TokenizerSettings, doc.get("tokenizer", {}), "tokenizer"),
+        training=_from_section(
+            TrainingConfig, doc.get("training", {}), "training",
+            defaults={"model": model}, rejected=("model",),
+        ),
+        output_dir=Path(output_dir),
     )
 
 
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
     """Precedence: flags > IPSDM_SEED > config file."""
-    split_spec = config.split
-    training = dict(config.training)
-    tokenizer = config.tokenizer
-    output_dir = config.output_dir
-
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
+    seed = os.environ.get(SEED_ENV_VAR)
+    if seed is not None:
         try:
-            seed = int(env_seed)
+            seed = int(seed)
         except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
-        split_spec = SplitSpec(
-            train_fraction=split_spec.train_fraction,
-            val_fraction=split_spec.val_fraction,
-            test_fraction=split_spec.test_fraction,
-            seed=seed,
-            stratified=split_spec.stratified,
-        )
-        training["seed"] = seed
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {seed!r}") from None
     if getattr(args, "seed", None) is not None:
-        split_spec = SplitSpec(
-            train_fraction=split_spec.train_fraction,
-            val_fraction=split_spec.val_fraction,
-            test_fraction=split_spec.test_fraction,
-            seed=args.seed,
-            stratified=split_spec.stratified,
-        )
-        training["seed"] = args.seed
+        seed = args.seed
+    split_spec, training, tokenizer = config.split, config.training, config.tokenizer
+    if seed is not None:
+        split_spec = replace(split_spec, seed=seed)
+        training = replace(training, seed=seed)
     if getattr(args, "num_epochs", None) is not None:
-        training["num_epochs"] = args.num_epochs
+        training = replace(training, num_epochs=args.num_epochs)
     if getattr(args, "vocab_size", None) is not None:
-        tokenizer = TokenizerSettings(vocab_size=args.vocab_size)
-    if getattr(args, "output_dir", None) is not None:
-        output_dir = Path(args.output_dir)
-
-    return PipelineConfig(
-        sources=config.sources,
+        tokenizer = replace(tokenizer, vocab_size=args.vocab_size)
+    output_dir = getattr(args, "output_dir", None)
+    return replace(
+        config,
         split=split_spec,
-        balance=config.balance,
-        tokenizer=tokenizer,
-        model=config.model,
         training=training,
-        optimizer=config.optimizer,
-        early_stopping=config.early_stopping,
-        output_dir=output_dir,
+        tokenizer=tokenizer,
+        output_dir=config.output_dir if output_dir is None else Path(output_dir),
     )
 
 
 def _config_from_args(args) -> PipelineConfig:
     if getattr(args, "config", None) is None:
         raise UsageError("this subcommand requires --config")
-    return _apply_overrides(load_config(args.config), args)
-
-
-def _training_config(config: PipelineConfig, vocab_size: int) -> TrainingConfig:
-    model_config = ModelConfig(vocab_size=vocab_size, **config.model)
-    return TrainingConfig(
-        model=model_config,
-        optimizer=config.optimizer,
-        early_stopping=config.early_stopping,
-        **config.training,
-    )
+    config = _apply_overrides(load_config(args.config), args)
+    config.validate()
+    return config
 
 
 def _file_sha256(path: Path) -> str:
@@ -390,11 +357,10 @@ def cmd_balance(args) -> int:
         return EXIT_OK
     corpus = read_split_csv(config.path(SPLIT_FILES["train"]))
     vocab = load_vocab(config.path("vocab.json"))
-    max_len = int(config.model["max_len"])
     balanced, plan = balance_corpus(
         corpus, vocab,
         k=config.balance.k, beta=config.balance.beta,
-        seed=config.split.seed, max_len=max_len,
+        seed=config.split.seed, max_len=config.training.model.max_len,
     )
     save_split_csv(balanced, config.path("train_balanced.csv"), "train")
     report = balance_report(corpus, balanced)
@@ -428,7 +394,9 @@ def cmd_train(args) -> int:
     train_split = read_split_csv(train_path)
     val_split = read_split_csv(config.path(SPLIT_FILES["validation"]))
     vocab = load_vocab(config.path("vocab.json"))
-    training_config = _training_config(config, vocab.size)
+    training_config = replace(
+        config.training, model=replace(config.training.model, vocab_size=vocab.size)
+    )
     try:
         checkpoint, history = run_training(training_config, train_split, val_split, vocab)
     except DivergedLoss as err:
@@ -455,7 +423,7 @@ def cmd_evaluate(args) -> int:
     scores = evaluate_checkpoint(
         checkpoint, corpus, vocab,
         split_name=args.split,
-        batch_size=int(config.training["val_batch_size"]),
+        batch_size=config.training.val_batch_size,
     )
     model_name = args.model_name or checkpoint_path.stem
     fragment = {"model": model_name, **scores.as_dict()}
@@ -474,8 +442,7 @@ def cmd_classify(args) -> int:
     if args.vocab:
         vocab_path = Path(args.vocab)
     elif args.config:
-        config = _apply_overrides(load_config(args.config), args)
-        vocab_path = config.path("vocab.json")
+        vocab_path = _config_from_args(args).path("vocab.json")
     else:
         raise UsageError("classify needs --vocab (or --config to locate vocab.json)")
     vocab = load_vocab(vocab_path)

@@ -90,6 +90,8 @@ class SplitSpec:
         total = self.train_fraction + self.val_fraction + self.test_fraction
         if abs(total - 1.0) > FRACTION_TOLERANCE:
             raise DegenerateSplit(f"fractions sum to {total!r}, expected 1.0")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -116,17 +118,16 @@ def _normalize_label_map(label_map: dict) -> dict[str, Label]:
 
 
 def _check_quote_balance(path: Path) -> None:
-    # RFC-4180: a file that ends inside a quoted field is malformed.
-    in_quotes = False
+    # RFC-4180: a file that ends inside a quoted field is malformed, which
+    # is the case exactly when it holds an odd number of quote characters.
+    quotes = 0
     with open(path, encoding="utf-8", newline="") as handle:
-        while True:
-            chunk = handle.read(65536)
-            if not chunk:
-                break
-            for char in chunk:
-                if char == '"':
-                    in_quotes = not in_quotes
-    if in_quotes:
+        try:
+            while chunk := handle.read(65536):
+                quotes += chunk.count('"')
+        except UnicodeDecodeError as err:
+            raise MalformedCsv(f"{path} is not UTF-8: {err}") from None
+    if quotes % 2:
         raise MalformedCsv(f"unbalanced quotes in {path}")
 
 
@@ -204,8 +205,10 @@ def merge(corpora: list[Corpus]) -> Corpus:
     return Corpus.from_samples(samples)
 
 
-def _fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
-    order = np.arange(n)
+def _fisher_yates(n: int, rng: np.random.Generator) -> list[int]:
+    """Seeded shuffle of range(n): one rng.integers(0, i + 1) draw for each i
+    from n - 1 down to 1."""
+    order = list(range(n))
     for i in range(n - 1, 0, -1):
         j = int(rng.integers(0, i + 1))
         order[i], order[j] = order[j], order[i]
@@ -254,9 +257,9 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
     else:
         order = _fisher_yates(n, rng)
         train_n, val_n, _ = _floor_sizes(n, spec)
-        train_idx = list(order[:train_n])
-        val_idx = list(order[train_n : train_n + val_n])
-        test_idx = list(order[train_n + val_n :])
+        train_idx = order[:train_n]
+        val_idx = order[train_n : train_n + val_n]
+        test_idx = order[train_n + val_n :]
 
     if min(len(train_idx), len(val_idx), len(test_idx)) == 0:
         raise DegenerateSplit(
@@ -298,13 +301,22 @@ def read_split_csv(path) -> Corpus:
         for column in ("text", "label", "source_id", "row_index"):
             if column not in header:
                 raise MissingColumn(f"{path} header lacks column {column!r}")
-        for row in reader:
+        for row_number, row in enumerate(reader):
+            label = (row["label"] or "").strip().lower()
+            if label not in LABEL_NAMES:
+                raise MalformedCsv(f"{path} row {row_number}: unknown label {row['label']!r}")
+            try:
+                row_index = int(row["row_index"])
+            except (TypeError, ValueError):
+                raise MalformedCsv(
+                    f"{path} row {row_number}: row_index {row['row_index']!r} is not an integer"
+                ) from None
             samples.append(
                 LabeledEmail(
                     text=row["text"],
-                    label=Label[row["label"].strip().lower()],
+                    label=Label[label],
                     source_id=row["source_id"],
-                    row_index=int(row["row_index"]),
+                    row_index=row_index,
                 )
             )
     return Corpus.from_samples(samples)

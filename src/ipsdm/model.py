@@ -40,6 +40,9 @@ class ModelConfig:
     pooling: str = "first_token"  # or "mean"
 
     def validate(self) -> None:
+        for name in ("num_layers", "num_heads", "d_model", "d_ff", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.num_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by num_heads {self.num_heads}"

@@ -1,13 +1,13 @@
 """AdamW for the model's tensor dictionary.
 
-Two update rules are provided. The default ("paper") folds the weight-decay
-term into the adaptive update:
-
-    z_i = z_{i-1} - lr / (sqrt(v_hat) + eps) * (m_hat + wd * z_{i-1})
-
-The "decoupled" variant applies decay outside the adaptive scaling:
+Two update rules are provided. The default ("decoupled", Loshchilov & Hutter,
+arXiv:1711.05101) applies decay outside the adaptive scaling:
 
     z_i = z_{i-1} - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * z_{i-1}
+
+The "paper" variant folds the weight-decay term into the adaptive update:
+
+    z_i = z_{i-1} - lr / (sqrt(v_hat) + eps) * (m_hat + wd * z_{i-1})
 
 Both share the moment updates m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2 and
 bias corrections m_hat = m/(1-b1^i), v_hat = v/(1-b2^i) with i counting steps
@@ -16,10 +16,10 @@ from 1.
 Stability note: under the "paper" rule a parameter whose gradient stays
 exactly zero (an embedding row no batch ever touches) has m_hat = v_hat = 0,
 so each step multiplies it by (1 - lr*wd/eps) — a factor of -999 at the
-defaults. That makes the "paper" rule diverge on any model with unused rows;
-it is kept as the default here for the update-rule contract itself, but
-training pipelines should select "decoupled", which shrinks zero-gradient
-parameters by the factor (1 - lr*wd) instead.
+defaults. That makes the "paper" rule diverge on any model with unused rows,
+which is why "decoupled" is the default; it shrinks zero-gradient parameters
+by the factor (1 - lr*wd) instead. "paper" stays selectable for fidelity to
+the update equations it implements.
 """
 
 import math
@@ -40,7 +40,7 @@ class OptimizerHyperparams:
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 0.01
-    variant: str = "paper"
+    variant: str = "decoupled"
     clip_max_norm: float | None = None
 
     def validate(self) -> None:

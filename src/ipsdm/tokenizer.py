@@ -75,6 +75,13 @@ def _text_to_byte_ids(text: str) -> list[int]:
     return [BYTE_BASE + b for b in data]
 
 
+def check_vocab_size(vocab_size: int) -> None:
+    if vocab_size <= 256 + NUM_SPECIALS:
+        raise VocabTooSmall(
+            f"vocab_size must exceed {256 + NUM_SPECIALS}, got {vocab_size}"
+        )
+
+
 def train_vocab(corpus: Corpus, vocab_size: int) -> Vocabulary:
     """Learn byte-level BPE merges from a training corpus.
 
@@ -83,10 +90,7 @@ def train_vocab(corpus: Corpus, vocab_size: int) -> Vocabulary:
     break on lexicographic (left bytes, right bytes) order. Call this on the
     train split only.
     """
-    if vocab_size <= 256 + NUM_SPECIALS:
-        raise VocabTooSmall(
-            f"vocab_size must exceed {256 + NUM_SPECIALS}, got {vocab_size}"
-        )
+    check_vocab_size(vocab_size)
     target_merges = vocab_size - 256 - NUM_SPECIALS
 
     docs = [_text_to_byte_ids(s.text) for s in corpus.samples]

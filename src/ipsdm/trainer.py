@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _fisher_yates
 from .errors import (
     ConfigError,
     CorruptFile,
@@ -145,14 +145,14 @@ class Checkpoint:
     best_metric: float | None = None
 
     def model_parameters(self, best: bool = False) -> ModelParameters:
-        prefix = "best." if best else ""
-        if best and not any(k.startswith("best.") for k in self.tensors):
-            prefix = ""  # final checkpoints store the best weights plainly
-        tensors = {}
-        for name in self.tensors:
-            if name.startswith(("best.", "opt.")):
-                continue
-            tensors[name] = self.tensors[prefix + name].copy() if prefix else self.tensors[name].copy()
+        # final checkpoints store the best weights under their plain names
+        resumable_best = best and any(k.startswith("best.") for k in self.tensors)
+        prefix = "best." if resumable_best else ""
+        tensors = {
+            name: self.tensors[prefix + name].copy()
+            for name in self.tensors
+            if not name.startswith(("best.", "opt."))
+        }
         return ModelParameters(config=self.config, tensors=tensors)
 
     def optimizer_state(self) -> OptimizerState:
@@ -184,12 +184,11 @@ def make_batches(
         raise EmptySplit("cannot batch an empty split")
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
-    order = list(range(n))
     if shuffle:
         rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, _SHUFFLE_TAG]))
-        for i in range(n - 1, 0, -1):  # Fisher-Yates
-            j = int(rng.integers(0, i + 1))
-            order[i], order[j] = order[j], order[i]
+        order = _fisher_yates(n, rng)
+    else:
+        order = list(range(n))
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 

@@ -304,6 +304,22 @@ def test_train_requires_balanced_file_when_balancing_enabled(tmp_path, capsys):
     assert "balance" in err
 
 
+def test_split_csv_with_unknown_label_exits_input(tmp_path, capsys):
+    corpus = make_separable_corpus({Label.ham: 6, Label.spam: 6}, seed=12)
+    source = _write_source_csv(tmp_path / "mail.csv", corpus)
+    out = tmp_path / "out"
+    config = _write_config(tmp_path / "config.json", [source], out)
+    assert main(["prepare", "--config", str(config)]) == EXIT_OK
+    train_csv = out / "train.csv"
+    train_csv.write_text(train_csv.read_text().replace(",ham,", ",eggs,", 1))
+
+    assert main(["tokenizer-train", "--config", str(config)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert "unknown label 'eggs'" in err
+    assert not (out / "vocab.json").exists()
+
+
 def test_evaluate_writes_fragment_and_prints_it(pipeline, capsys):
     config, out = pipeline
     capsys.readouterr()
@@ -521,3 +537,59 @@ def test_config_with_unknown_keys_is_rejected(tmp_path, capsys):
     config.write_text(json.dumps({"daat": {}}), encoding="utf-8")
     assert main(["prepare", "--config", str(config)]) == EXIT_INPUT
     assert "daat" in capsys.readouterr().err
+
+    # the vocabulary fixes vocab_size and the classifier fixes num_labels
+    for key, value in (("num_labels", 3), ("vocab_size", 300)):
+        config = _write_config(
+            tmp_path / "config.json", [tmp_path / "mail.csv"], tmp_path / "out",
+            model={**SMALL_MODEL, key: value},
+        )
+        assert main(["prepare", "--config", str(config)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "unknown keys in config section 'model'" in err
+        assert key in err
+
+
+@pytest.mark.parametrize(
+    "section, patch, env_seed, flags, named",
+    [
+        ("model", {"num_heads": 4, "d_model": 130}, None, [], "d_model"),
+        ("model", {"dropout_rate": 1.5}, None, [], "dropout_rate"),
+        ("model", {"pooling": "max"}, None, [], "pooling"),
+        ("optimizer", {"variant": "nesterov"}, None, [], "variant"),
+        ("optimizer", {"learning_rate": -1}, None, [], "learning_rate"),
+        ("balance", {"k": 0}, None, [], "k must"),
+        ("balance", {"beta": 2.0}, None, [], "beta"),
+        ("split", {"seed": "abc"}, None, [], "split.seed"),
+        ("tokenizer", {"vocab_size": "big"}, None, [], "tokenizer.vocab_size"),
+        ("training", {"num_epochs": "3"}, None, [], "training.num_epochs"),
+        (None, {}, "-1", [], "seed"),
+        (None, {}, None, ["--seed", "-2"], "seed"),
+    ],
+)
+def test_malformed_config_value_exits_input_before_writing(
+    tmp_path, monkeypatch, capsys, section, patch, env_seed, flags, named
+):
+    corpus = make_separable_corpus({Label.ham: 6, Label.spam: 6}, seed=0)
+    source = _write_source_csv(tmp_path / "mail.csv", corpus)
+    out = tmp_path / "out"
+    sections = {
+        "split": {"seed": 0},
+        "balance": {"k": 3},
+        "tokenizer": {"vocab_size": 300},
+        "model": dict(SMALL_MODEL),
+        "training": {**SMALL_TRAINING, "optimizer": {}},
+    }
+    target = sections["training"]["optimizer"] if section == "optimizer" else sections.get(section, {})
+    target.update(patch)
+    config = _write_config(tmp_path / "config.json", [source], out, **sections)
+    if env_seed is None:
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+
+    assert main(["prepare", "--config", str(config), *flags]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert named in err
+    assert not out.exists()

@@ -173,6 +173,14 @@ def test_load_csv_unbalanced_quotes(tmp_path):
         load_csv(path)
 
 
+def test_csv_readers_reject_non_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("Email,Category\ncaf\u00e9,ham\n".encode("latin-1"))
+    for reader in (load_csv, read_split_csv):
+        with pytest.raises(MalformedCsv, match="not UTF-8"):
+            reader(path)
+
+
 def test_load_csv_quoted_fields(tmp_path):
     path = tmp_path / "quoted.csv"
     path.write_text(
@@ -334,3 +342,24 @@ def test_split_csv_has_split_column(tmp_path):
         rows = list(csv.DictReader(handle))
     assert all(row["split"] == "validation" for row in rows)
     assert list(rows[0]) == ["text", "label", "source_id", "row_index", "split"]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("label", "eggs", "unknown label 'eggs'"),
+        ("row_index", "seven", "row_index 'seven' is not an integer"),
+    ],
+)
+def test_read_split_csv_rejects_bad_rows(tmp_path, field, value, message):
+    path = tmp_path / "train.csv"
+    save_split_csv(_make_corpus({Label.ham: 2, Label.spam: 1}), path, split_name="train")
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    rows[1][field] = value
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    with pytest.raises(MalformedCsv, match=f"train.csv row 1: {message}"):
+        read_split_csv(path)

@@ -113,6 +113,15 @@ def test_make_batches_shuffle_is_per_epoch_deterministic():
     assert flat == list(range(50))
 
 
+def test_make_batches_pinned_epoch_order():
+    # one epoch's order for a fixed (seed, epoch), as the original inline
+    # Fisher-Yates shuffle produced it
+    corpus = make_separable_corpus({Label.ham: 8, Label.spam: 5}, seed=0)
+    batches = make_batches(corpus, 5, shuffle=True, seed=3, epoch=2)
+    assert batches == [[1, 4, 8, 5, 3], [9, 11, 12, 2, 7], [6, 0, 10]]
+    assert all(type(i) is int for batch in batches for i in batch)
+
+
 def test_make_batches_oversized_batch():
     corpus = make_separable_corpus({Label.ham: 3}, seed=0)
     batches = make_batches(corpus, 100, shuffle=False, seed=0, epoch=1)
