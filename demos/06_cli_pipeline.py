@@ -2,7 +2,8 @@
 """
 Drive the whole pipeline through the command-line entry point exactly as a
 shell user would: write a config, then run prepare, tokenizer-train, balance,
-train, evaluate, and report against a scratch directory.
+train, evaluate, and report against a scratch directory that is removed
+when the demo ends.
 """
 
 import csv
@@ -30,7 +31,11 @@ def write_source(path: Path) -> None:
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="ipsdm-demo-"))
+    with tempfile.TemporaryDirectory(prefix="ipsdm-demo-") as scratch:
+        run(Path(scratch))
+
+
+def run(root: Path) -> None:
     source = root / "mail.csv"
     write_source(source)
     out = root / "out"

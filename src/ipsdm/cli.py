@@ -454,8 +454,11 @@ def cmd_classify(args) -> int:
     if args.text is not None:
         texts = [args.text]
     else:
-        with open(args.file, encoding="utf-8") as fh:
-            texts = [line.rstrip("\n") for line in fh if line.strip()]
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                texts = [line.rstrip("\n") for line in fh if line.strip()]
+        except UnicodeDecodeError as err:
+            raise InputError(f"{args.file} is not UTF-8 text: {err}") from None
     for text in texts:
         label, probs = predict(params, vocab, text)
         print(

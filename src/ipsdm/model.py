@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import erf
 
+from .blas import single_thread
 from .corpus import Label
 from .errors import AllMasked, SequenceLengthMismatch, StaleCache
 from .tokenizer import TokenSequence, Vocabulary, encode
@@ -371,6 +372,7 @@ def predict(
     from .metrics import softmax
 
     seq = encode(vocab, text, params.config.max_len)
-    logits, _ = forward(params, [seq], training=False)
+    with single_thread():
+        logits, _ = forward(params, [seq], training=False)
     probs = softmax(logits[0].astype(np.float64))
     return Label(int(np.argmax(probs))), probs

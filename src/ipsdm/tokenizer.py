@@ -11,11 +11,11 @@ import heapq
 import json
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import UnknownId, VocabTooSmall
+from .errors import CorruptFile, UnknownId, VocabTooSmall
 
 CLS_ID = 0
 SEP_ID = 1
@@ -26,6 +26,10 @@ BYTE_BASE = NUM_SPECIALS  # byte b has id BYTE_BASE + b
 FIRST_MERGE_ID = BYTE_BASE + 256
 
 MIN_PAIR_FREQUENCY = 2
+
+_SPECIAL_IDS = {"cls_id": CLS_ID, "sep_id": SEP_ID, "pad_id": PAD_ID, "unk_id": UNK_ID}
+
+_NONE = -1  # no neighbour, or a position whose token a merge absorbed
 
 
 @dataclass
@@ -39,6 +43,17 @@ class Vocabulary:
     sep_id: int = SEP_ID
     pad_id: int = PAD_ID
     unk_id: int = UNK_ID
+    # (left id, right id) -> (rank, merged id) for encode: the first rank of
+    # each id pair wins, and the merged id is the last one its bytes got.
+    merge_table: dict[tuple[int, int], tuple[int, int]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.merge_table = {}
+        for rank, (left, right) in enumerate(self.merges):
+            pair = (self.token_to_id[left], self.token_to_id[right])
+            self.merge_table.setdefault(pair, (rank, self.token_to_id[left + right]))
 
     @property
     def size(self) -> int:
@@ -89,20 +104,43 @@ def train_vocab(corpus: Corpus, vocab_size: int) -> Vocabulary:
     vocab_size is reached or no pair occurs at least twice; frequency ties
     break on lexicographic (left bytes, right bytes) order. Call this on the
     train split only.
+
+    Every document lives in one flat token array, linked into one list per
+    document by prev/next positions. Beside the pair counts, an index holds
+    the positions of each pair's occurrences; entries go stale as merges
+    rewrite their neighbourhood and are checked when read. A merge visits
+    only the occurrences of its own pair, left to right (an occurrence whose
+    tokens an earlier, overlapping one consumed is skipped), and updates only
+    the pairs each occurrence touches: (prev, left), (left, right),
+    (right, next) lose one, (prev, new) and (new, next) gain one. Each merged
+    occurrence removes a token, so there are at most B of them for B training
+    bytes, and with the lazy max-heap that picks the next pair training costs
+    O(B log B + M) for M merges, instead of a recount of every document
+    holding the merged pair.
     """
     check_vocab_size(vocab_size)
     target_merges = vocab_size - 256 - NUM_SPECIALS
 
-    docs = [_text_to_byte_ids(s.text) for s in corpus.samples]
-    docs = [d for d in docs if len(d) >= 2]
+    ids: list[int] = []
+    prev: list[int] = []
+    nxt: list[int] = []
+    for sample in corpus.samples:
+        doc = _text_to_byte_ids(sample.text)
+        start, end = len(ids), len(ids) + len(doc)
+        ids.extend(doc)
+        prev.extend(range(start - 1, end - 1))
+        nxt.extend(range(start + 1, end + 1))
+        if doc:
+            prev[start] = nxt[end - 1] = _NONE
 
     token_bytes: dict[int, bytes] = {BYTE_BASE + b: bytes([b]) for b in range(256)}
     pair_counts: Counter = Counter()
-    pair_docs: defaultdict = defaultdict(set)
-    for doc_index, doc in enumerate(docs):
-        for pair in zip(doc, doc[1:]):
+    occurrences: defaultdict = defaultdict(list)  # pair -> left positions, may be stale
+    for pos, after in enumerate(nxt):
+        if after != _NONE:
+            pair = (ids[pos], ids[after])
             pair_counts[pair] += 1
-            pair_docs[pair].add(doc_index)
+            occurrences[pair].append(pos)
 
     # Max-heap with lazy deletion; entries are re-pushed whenever a pair's
     # count changes, and stale entries are discarded on pop.
@@ -118,71 +156,105 @@ def train_vocab(corpus: Corpus, vocab_size: int) -> Vocabulary:
     for pair in pair_counts:
         push(pair)
 
+    changed: set = set()  # pairs whose count the current merge moved
+
+    def move(old_pair, new_pair, pos) -> None:
+        pair_counts[old_pair] -= 1
+        pair_counts[new_pair] += 1
+        occurrences[new_pair].append(pos)
+        changed.add(old_pair)
+        changed.add(new_pair)
+
     merges: list[tuple[bytes, bytes]] = []
-    next_id = FIRST_MERGE_ID
+    new_id = FIRST_MERGE_ID
     while len(merges) < target_merges and heap:
         neg_count, _, _, pair = heapq.heappop(heap)
         if pair_counts.get(pair, 0) != -neg_count:
             continue  # stale entry
         left, right = pair
         merges.append((token_bytes[left], token_bytes[right]))
-        token_bytes[next_id] = token_bytes[left] + token_bytes[right]
+        token_bytes[new_id] = token_bytes[left] + token_bytes[right]
 
-        changed: set = set()
-        for doc_index in sorted(pair_docs.pop(pair, ())):
-            doc = docs[doc_index]
-            for old_pair in zip(doc, doc[1:]):
-                pair_counts[old_pair] -= 1
-                changed.add(old_pair)
-            merged = _merge_in_place(doc, left, right, next_id)
-            docs[doc_index] = merged
-            for new_pair in zip(merged, merged[1:]):
-                pair_counts[new_pair] += 1
-                pair_docs[new_pair].add(doc_index)
-                changed.add(new_pair)
+        changed.clear()
+        for pos in sorted(occurrences.pop(pair)):
+            after = nxt[pos]
+            if ids[pos] != left or after == _NONE or ids[after] != right:
+                continue  # consumed by an overlapping occurrence, or stale
+            before, beyond = prev[pos], nxt[after]
+            if before != _NONE:
+                move((ids[before], left), (ids[before], new_id), before)
+            if beyond != _NONE:
+                move((right, ids[beyond]), (new_id, ids[beyond]), pos)
+                prev[beyond] = pos
+            pair_counts[pair] -= 1
+            ids[pos] = new_id
+            nxt[pos] = beyond
+            ids[after] = _NONE
+        changed.add(pair)
         for changed_pair in changed:
             if pair_counts.get(changed_pair, 0) <= 0:
                 pair_counts.pop(changed_pair, None)
+                occurrences.pop(changed_pair, None)
             else:
                 push(changed_pair)
-        next_id += 1
+        new_id += 1
 
     return Vocabulary.from_merges(merges)
 
 
-def _merge_in_place(doc: list[int], left: int, right: int, new_id: int) -> list[int]:
-    out = []
-    i = 0
-    n = len(doc)
-    while i < n:
-        if i + 1 < n and doc[i] == left and doc[i + 1] == right:
-            out.append(new_id)
-            i += 2
-        else:
-            out.append(doc[i])
-            i += 1
-    return out
-
-
 def _apply_merges(vocab: Vocabulary, ids: list[int]) -> list[int]:
-    # Repeatedly merging the earliest-learned pair present in the sequence is
-    # equivalent to replaying the merge list in learned order.
-    ranks: dict[tuple[int, int], tuple[int, int]] = {}
-    for rank, (left, right) in enumerate(vocab.merges):
-        pair = (vocab.token_to_id[left], vocab.token_to_id[right])
-        ranks.setdefault(pair, (rank, vocab.token_to_id[left + right]))
+    """Merge a byte-id sequence with the vocabulary's rules.
 
-    while len(ids) >= 2:
-        best = None
-        for pair in zip(ids, ids[1:]):
-            entry = ranks.get(pair)
-            if entry is not None and (best is None or entry[0] < best[0]):
-                best = (entry[0], pair, entry[1])
-        if best is None:
-            break
-        _, (left, right), new_id = best
-        ids = _merge_in_place(ids, left, right, new_id)
-    return ids
+    Repeatedly merges, left to right, every occurrence of the lowest-ranked
+    pair present, which for a learned merge list equals replaying the list
+    in learned order. The sequence is a linked list over positions; a
+    min-heap of (rank, position) holds every pair that has a rule, with
+    stale entries discarded on pop. All entries of the lowest rank are
+    merged as one batch before the pairs those merges formed enter the heap,
+    so a rule list whose new pairs can rank below the rule that formed them
+    still merges in the same order. Each merge removes a token, so at most
+    3n entries enter the heap for n bytes and the cost is O(n log n), with
+    the rank table built once per vocabulary.
+    """
+    table = vocab.merge_table
+    ids = list(ids)
+    nxt = list(range(1, len(ids) + 1))
+    prev = list(range(-1, len(ids) - 1))
+    if ids:
+        nxt[-1] = _NONE
+    heap = [
+        (table[pair][0], pos)
+        for pos, pair in enumerate(zip(ids, ids[1:]))
+        if pair in table
+    ]
+    heapq.heapify(heap)
+    while heap:
+        rank = heap[0][0]
+        touched: set[int] = set()
+        while heap and heap[0][0] == rank:
+            pos = heapq.heappop(heap)[1]  # same rank pops left to right
+            after = nxt[pos]
+            if after == _NONE:
+                continue
+            entry = table.get((ids[pos], ids[after]))
+            if entry is None or entry[0] != rank:
+                continue  # consumed by an overlapping occurrence, or stale
+            beyond = nxt[after]
+            ids[pos] = entry[1]
+            ids[after] = _NONE
+            nxt[pos] = beyond
+            if beyond != _NONE:
+                prev[beyond] = pos
+            touched.add(pos)
+            if prev[pos] != _NONE:
+                touched.add(prev[pos])
+        for pos in touched:
+            after = nxt[pos]
+            if after != _NONE:
+                entry = table.get((ids[pos], ids[after]))
+                if entry is not None:
+                    heapq.heappush(heap, (entry[0], pos))
+    return [token_id for token_id in ids if token_id != _NONE]
 
 
 def encode(vocab: Vocabulary, text: str, max_len: int = 128) -> TokenSequence:
@@ -229,12 +301,58 @@ def vocab_to_json(vocab: Vocabulary) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def vocab_from_json(text: str) -> Vocabulary:
-    doc = json.loads(text)
-    merges = [
-        (left.encode("latin-1"), right.encode("latin-1"))
-        for left, right in doc["merges"]
-    ]
+def vocab_from_json(text: str, source: str = "vocabulary") -> Vocabulary:
+    """Parse a vocab_to_json document, checking it before building anything.
+
+    Raises CorruptFile, naming source and, where one is at fault, the merge
+    index, unless the text is a JSON object with exactly the keys
+    vocab_to_json writes and the fixed special ids, every merge side is a
+    single byte or the token of an earlier merge, and vocab_size equals the
+    base size plus the merge count.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise CorruptFile(f"{source}: not JSON: {err}") from None
+    if not isinstance(doc, dict) or set(doc) != {"merges", "special", "vocab_size"}:
+        raise CorruptFile(
+            f"{source}: expected a JSON object with keys merges, special, vocab_size"
+        )
+    if doc["special"] != _SPECIAL_IDS:
+        raise CorruptFile(f"{source}: special must be {_SPECIAL_IDS}, got {doc['special']!r}")
+    if not isinstance(doc["merges"], list):
+        raise CorruptFile(f"{source}: merges must be a list, got {doc['merges']!r}")
+
+    tokens = {bytes([b]) for b in range(256)}
+    merges: list[tuple[bytes, bytes]] = []
+    for index, entry in enumerate(doc["merges"]):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and all(isinstance(side, str) for side in entry)
+        ):
+            raise CorruptFile(f"{source}: merge {index}: expected two strings, got {entry!r}")
+        try:
+            left, right = (side.encode("latin-1") for side in entry)
+        except UnicodeEncodeError:
+            raise CorruptFile(
+                f"{source}: merge {index}: {entry!r} is not a latin-1 byte string"
+            ) from None
+        for side in (left, right):
+            if side not in tokens:
+                raise CorruptFile(
+                    f"{source}: merge {index}: {side!r} is neither a single byte"
+                    " nor the token of an earlier merge"
+                )
+        merges.append((left, right))
+        tokens.add(left + right)
+
+    size = doc["vocab_size"]
+    expected = FIRST_MERGE_ID + len(merges)
+    if type(size) is not int or size != expected:
+        raise CorruptFile(
+            f"{source}: vocab_size is {size!r}, but {len(merges)} merges make {expected}"
+        )
     return Vocabulary.from_merges(merges)
 
 
@@ -244,7 +362,11 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    return vocab_from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise CorruptFile(f"{path}: not UTF-8 text: {err}") from None
+    return vocab_from_json(text, source=str(path))
 
 
 def vocab_sha256(vocab: Vocabulary) -> str:

@@ -8,6 +8,7 @@ separable before any model is trained on it.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ipsdm.corpus import Corpus, Label, LabeledEmail
 
@@ -15,6 +16,11 @@ HAM_WORDS = ["meeting", "schedule", "report", "lunch", "project", "minutes", "ag
 SPAM_WORDS = ["free", "winner", "cash", "prize", "offer", "discount", "deal", "bonus"]
 PHISHING_WORDS = ["verify", "account", "password", "login", "urgent", "suspended", "confirm", "bank"]
 FILLER_WORDS = ["the", "and", "please", "today", "now", "your", "this", "for"]
+
+# Property tests draw the same examples on every run and never time out, so a
+# slow, shared machine cannot make them flaky; nothing is stored on disk.
+settings.register_profile("ipsdm", deadline=None, derandomize=True, database=None, max_examples=200)
+settings.load_profile("ipsdm")
 
 _CLASS_WORDS = {
     Label.ham: HAM_WORDS,

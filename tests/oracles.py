@@ -15,6 +15,20 @@ import numpy as np
 # byte-pair merges: full pair recount every round
 
 
+def merge_pass(tokens: list[bytes], left: bytes, right: bytes) -> list[bytes]:
+    """One left-to-right scan merging every non-overlapping (left, right)."""
+    out = []
+    i = 0
+    while i < len(tokens):
+        if i + 1 < len(tokens) and tokens[i] == left and tokens[i + 1] == right:
+            out.append(left + right)
+            i += 2
+        else:
+            out.append(tokens[i])
+            i += 1
+    return out
+
+
 def naive_bpe_merges(texts_as_bytes: list[bytes], max_merges: int):
     """Greedy highest-frequency pair merging over byte sequences.
 
@@ -38,19 +52,43 @@ def naive_bpe_merges(texts_as_bytes: list[bytes], max_merges: int):
             break
         best = min(pair for pair, c in counts.items() if c == best_count)
         merges.append(best)
-        merged_token = best[0] + best[1]
-        for d, doc in enumerate(docs):
-            out = []
-            i = 0
-            while i < len(doc):
-                if i + 1 < len(doc) and doc[i] == best[0] and doc[i + 1] == best[1]:
-                    out.append(merged_token)
-                    i += 2
-                else:
-                    out.append(doc[i])
-                    i += 1
-            docs[d] = out
+        docs = [merge_pass(doc, *best) for doc in docs]
     return merges
+
+
+# ---------------------------------------------------------------------------
+# byte-pair encode: whole-sequence passes over byte tokens
+
+
+def replay_merges(merges: list[tuple[bytes, bytes]], data: bytes) -> list[bytes]:
+    """Replay the merge list in learned order, one full pass per merge.
+
+    For a merge list learned by training this is the definition of BPE
+    encoding; the library's encode must match it token for token.
+    """
+    tokens = [bytes([b]) for b in data]
+    for left, right in merges:
+        tokens = merge_pass(tokens, left, right)
+    return tokens
+
+
+def lowest_rank_merges(merges: list[tuple[bytes, bytes]], data: bytes) -> list[bytes]:
+    """Rescan the whole sequence for the lowest-ranked pair present and merge
+    all its occurrences; repeat until no pair has a rule.
+
+    Equal to replay_merges on a learned merge list. On a hand-made list it
+    differs where a merge forms a pair whose rule ranks below its own: this
+    route still merges that pair, as the library's encode does.
+    """
+    ranks: dict[tuple[bytes, bytes], int] = {}
+    for rank, pair in enumerate(merges):
+        ranks.setdefault(pair, rank)
+    tokens = [bytes([b]) for b in data]
+    while True:
+        present = [ranks[pair] for pair in zip(tokens, tokens[1:]) if pair in ranks]
+        if not present:
+            return tokens
+        tokens = merge_pass(tokens, *merges[min(present)])
 
 
 # ---------------------------------------------------------------------------

@@ -510,6 +510,34 @@ def test_classify_rejects_mismatched_vocabulary(zero_head_checkpoint, tmp_path, 
     assert "does not match" in capsys.readouterr().err
 
 
+def test_classify_rejects_corrupt_vocabulary(zero_head_checkpoint, tmp_path, capsys):
+    ckpt_path, vocab_path = zero_head_checkpoint
+    doc = json.loads(vocab_path.read_text(encoding="utf-8"))
+    doc["merges"][0][0] = "zz"  # not a token: neither a byte nor an earlier merge
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([
+        "classify", "--checkpoint", str(ckpt_path), "--vocab", str(bad),
+        "--text", "hello",
+    ]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{bad}: merge 0: " in err
+    assert "Traceback" not in err
+
+
+def test_classify_file_that_is_not_utf8_exits_input(zero_head_checkpoint, tmp_path, capsys):
+    ckpt_path, vocab_path = zero_head_checkpoint
+    batch = tmp_path / "latin1.txt"
+    batch.write_bytes("caf\u00e9 prize\n".encode("latin-1"))
+    assert main([
+        "classify", "--checkpoint", str(ckpt_path), "--vocab", str(vocab_path),
+        "--file", str(batch),
+    ]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{batch} is not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 

@@ -20,3 +20,4 @@ def test_demo_exits_zero(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    assert not list(tmp_path.glob("ipsdm-demo-*")), "demo left its scratch directory behind"

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from ipsdm import blas, model
 from ipsdm.corpus import Label
 from ipsdm.errors import AllMasked, SequenceLengthMismatch, StaleCache
 from ipsdm.metrics import cross_entropy
@@ -447,3 +448,52 @@ def test_predict_probabilities_sum_to_one():
         assert probs.shape == (3,)
         assert abs(float(probs.sum()) - 1.0) < 1e-9
         assert label == Label(int(np.argmax(probs)))
+
+
+class _FakeOpenBLAS:
+    """Stands in for the OpenBLAS thread-count functions."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.calls = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.calls.append(n)
+        self.threads = n
+
+
+def test_predict_runs_its_forward_on_one_blas_thread(monkeypatch):
+    fake = _FakeOpenBLAS(threads=4)
+    monkeypatch.setattr(blas, "_openblas", (fake.get, fake.set))
+    seen = []
+    real_forward = model.forward
+
+    def recording_forward(*args, **kwargs):
+        seen.append(fake.threads)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    params = init(SMALL, seed=12)
+    label, probs = predict(params, BASE_VOCAB, TEXTS[0])
+    assert seen == [1]
+    assert fake.threads == 4 and fake.calls == [1, 4]
+    logits, _ = real_forward(params, _batch(TEXTS[:1]), training=False)
+    assert label == Label(int(np.argmax(logits[0])))
+
+
+def test_single_thread_restores_once_the_outermost_block_exits(monkeypatch):
+    fake = _FakeOpenBLAS(threads=2)
+    monkeypatch.setattr(blas, "_openblas", (fake.get, fake.set))
+    with pytest.raises(RuntimeError):
+        with blas.single_thread():
+            with blas.single_thread():
+                assert fake.threads == 1
+            assert fake.threads == 1
+            raise RuntimeError
+    assert fake.threads == 2 and fake.calls == [1, 2]
+    monkeypatch.setattr(blas, "_openblas", None)
+    with blas.single_thread():
+        pass  # no OpenBLAS found: a no-op

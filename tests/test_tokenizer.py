@@ -6,12 +6,13 @@ counts, so the two routes share no code.
 """
 
 import json
+import re
 import unicodedata
 
 import pytest
 
 from ipsdm.corpus import Corpus, Label, LabeledEmail
-from ipsdm.errors import UnknownId, VocabTooSmall
+from ipsdm.errors import CorruptFile, UnknownId, VocabTooSmall
 from ipsdm.tokenizer import (
     BYTE_BASE,
     CLS_ID,
@@ -352,3 +353,59 @@ def test_vocab_sha256_distinguishes_vocabs(trained, base_vocab):
     # Stable across independent retraining.
     again = train_vocab(_corpus(TRAIN_LINES), vocab_size=300)
     assert vocab_sha256(again) == h_trained
+
+
+# ---------------------------------------------------------------------------
+# loading checks
+
+
+def _vocab_doc(pairs, **overrides):
+    doc = {
+        "merges": pairs,
+        "special": {"cls_id": 0, "sep_id": 1, "pad_id": 2, "unk_id": 3},
+        "vocab_size": 260 + len(pairs),
+    }
+    doc.update(overrides)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "not JSON"),
+        ('{"merges": 5}', "keys"),
+        ("[]", "keys"),
+        (_vocab_doc([], extra=1), "keys"),
+        (_vocab_doc([], merges=5), "merges must be a list"),
+        (_vocab_doc([["a"]]), "merge 0: expected two strings"),
+        (_vocab_doc([["a", "b"], [1, 2]]), "merge 1: expected two strings"),
+        (_vocab_doc([["ā", "b"]]), "merge 0: ['ā', 'b'] is not a latin-1"),
+        (_vocab_doc([["a", "b"], ["zz", "b"]]), "merge 1: b'zz' is neither"),
+        (_vocab_doc([["a", ""]]), "merge 0: b'' is neither"),
+        (_vocab_doc([["ab", "c"], ["a", "b"]]), "merge 0: b'ab' is neither"),
+        (_vocab_doc([["a", "b"]], vocab_size=999), "vocab_size is 999, but 1 merges make 261"),
+        (_vocab_doc([["a", "b"]], vocab_size="261"), "vocab_size is '261'"),
+        (_vocab_doc([], special={"cls_id": 9}), "special must be"),
+    ],
+)
+def test_malformed_vocab_json_raises_corrupt_file(text, message):
+    with pytest.raises(CorruptFile) as caught:
+        vocab_from_json(text, source="bad.json")
+    assert str(caught.value).startswith("bad.json: ")
+    assert message in str(caught.value)
+
+
+def test_merge_sides_may_be_any_earlier_token():
+    vocab = vocab_from_json(_vocab_doc([["a", "b"], ["c", "ab"], ["cab", "cab"]]))
+    assert vocab.merges == [(b"a", b"b"), (b"c", b"ab"), (b"cab", b"cab")]
+    assert encode(vocab, "cabcab", max_len=4).content_ids == [FIRST_MERGE_ID + 2]
+
+
+def test_load_vocab_names_the_file(tmp_path):
+    path = tmp_path / "vocab.json"
+    path.write_text(_vocab_doc([["a", "b"], ["zz", "b"]]), encoding="utf-8")
+    with pytest.raises(CorruptFile, match=re.escape(f"{path}: merge 1: ")):
+        load_vocab(path)
+    path.write_bytes(b'{"merges": [["\xe9"]]}')
+    with pytest.raises(CorruptFile, match=re.escape(f"{path}: not UTF-8 text")):
+        load_vocab(path)
