@@ -9,6 +9,11 @@ Layer layout (post-layer-norm):
 Pooling takes the first-token state (default) or the mean over unmasked
 positions; either way padded positions never reach the logits, so logits are
 bit-identical under changes to padded token ids.
+
+Inputs are padded to max_len, but each forward and backward computes only the
+first T positions, T being the longest true length in the batch: the trailing
+positions are padding in every row, so cutting them changes no result beyond
+rounding (summation lengths and BLAS shapes follow T).
 """
 
 import math
@@ -42,8 +47,11 @@ class ModelConfig:
 
     def validate(self) -> None:
         for name in ("num_layers", "num_heads", "d_model", "d_ff", "max_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if type(self.vocab_size) is not int:
+            raise ValueError(f"vocab_size must be an integer, got {self.vocab_size!r}")
         if self.d_model % self.num_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by num_heads {self.num_heads}"
@@ -100,31 +108,38 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.
     return out.astype(dtype)
 
 
+def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable tensor, in the order init draws them.
+    This is the model's tensor layout; checkpoints are checked against it."""
+    d, f = config.d_model, config.d_ff
+    shapes = {"token_embedding": (config.vocab_size, d), "position_embedding": (config.max_len, d)}
+    for i in range(config.num_layers):
+        prefix = f"layers.{i}"
+        for proj in ("w_q", "w_k", "w_v", "w_o"):
+            shapes[f"{prefix}.attn.{proj}"] = (d, d)
+        shapes.update({
+            f"{prefix}.ln1.scale": (d,), f"{prefix}.ln1.offset": (d,),
+            f"{prefix}.ff.w1": (d, f), f"{prefix}.ff.w2": (f, d),
+            f"{prefix}.ln2.scale": (d,), f"{prefix}.ln2.offset": (d,),
+        })
+    shapes["classifier.weight"] = (d, config.num_labels)
+    shapes["classifier.bias"] = (config.num_labels,)
+    return shapes
+
+
 def init(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParameters:
     """Random initialization: truncated normal (std 0.02) weights, layer-norm
     scales 1 and offsets 0, zero classifier bias. Deterministic per seed."""
     config.validate()
     rng = np.random.default_rng(seed)
-    d, f = config.d_model, config.d_ff
     tensors: dict[str, np.ndarray] = {}
-
-    def weight(name, shape):
-        tensors[name] = _truncated_normal(rng, shape, INIT_STD, dtype)
-
-    weight("token_embedding", (config.vocab_size, d))
-    weight("position_embedding", (config.max_len, d))
-    for i in range(config.num_layers):
-        prefix = f"layers.{i}"
-        for proj in ("w_q", "w_k", "w_v", "w_o"):
-            weight(f"{prefix}.attn.{proj}", (d, d))
-        tensors[f"{prefix}.ln1.scale"] = np.ones(d, dtype=dtype)
-        tensors[f"{prefix}.ln1.offset"] = np.zeros(d, dtype=dtype)
-        weight(f"{prefix}.ff.w1", (d, f))
-        weight(f"{prefix}.ff.w2", (f, d))
-        tensors[f"{prefix}.ln2.scale"] = np.ones(d, dtype=dtype)
-        tensors[f"{prefix}.ln2.offset"] = np.zeros(d, dtype=dtype)
-    weight("classifier.weight", (d, config.num_labels))
-    tensors["classifier.bias"] = np.zeros(config.num_labels, dtype=dtype)
+    for name, shape in tensor_shapes(config).items():
+        if name.endswith(".scale"):
+            tensors[name] = np.ones(shape, dtype=dtype)
+        elif name.endswith((".offset", ".bias")):
+            tensors[name] = np.zeros(shape, dtype=dtype)
+        else:
+            tensors[name] = _truncated_normal(rng, shape, INIT_STD, dtype)
     return ModelParameters(config=config, tensors=tensors)
 
 
@@ -193,9 +208,12 @@ def _layer_norm_backward(dy, xhat, inv_std, scale):
     return dx, dscale, doffset
 
 
-def _dropout_mask(rng, shape, rate, dtype):
+def _dropout_mask(rng, shape, rate, dtype, t=None):
+    """Inverted-dropout mask of the given shape, cut to its first t positions
+    (axis 1). Uniforms are drawn for the whole shape, so the stream a batch
+    consumes does not depend on its true lengths."""
     keep = np.dtype(dtype).type(1.0 - rate)
-    return (rng.random(shape) >= rate).astype(dtype) / keep
+    return (rng.random(shape)[:, :t] >= rate).astype(dtype) / keep
 
 
 def batch_arrays(batch: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
@@ -212,8 +230,15 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the encoder on a batch, returning (logits, cache).
 
+    Every sequence must be max_len long; compute covers only positions up to
+    the batch's longest true length T, so the cache holds (batch, T) ids and
+    key mask, and only the first T position-embedding rows are read.
+
     Dropout is applied only when training=True (and dropout_rate > 0), drawing
-    masks from dropout_rng in a fixed order.
+    masks from dropout_rng in a fixed order. Each mask is drawn for all
+    max_len positions and cut to T, so the masks on real positions, and the
+    stream consumed, are those of the full-length computation: training
+    differs from it only by rounding.
     """
     config = params.config
     ids, key_mask = batch_arrays(batch)
@@ -221,13 +246,16 @@ def forward(
         raise SequenceLengthMismatch(
             f"batch has length {ids.shape[1]}, model expects {config.max_len}"
         )
+    t = max(seq.true_length for seq in batch)
+    ids, key_mask = ids[:, :t], key_mask[:, :t]
     tensors = params.tensors
     dtype = tensors["token_embedding"].dtype
     use_dropout = training and config.dropout_rate > 0.0
     if use_dropout and dropout_rng is None:
         raise ValueError("training forward with dropout requires dropout_rng")
+    padded_shape = (len(batch), config.max_len, config.d_model)
 
-    x = tensors["token_embedding"][ids] + tensors["position_embedding"][None, :, :]
+    x = tensors["token_embedding"][ids] + tensors["position_embedding"][None, :t, :]
     cache = ForwardCache(
         ids=ids,
         key_mask=key_mask,
@@ -246,7 +274,9 @@ def forward(
         ctx_merged = _merge_heads(ctx)
         attn_out = ctx_merged @ tensors[f"{prefix}.attn.w_o"]
         if use_dropout:
-            layer["drop1"] = _dropout_mask(dropout_rng, attn_out.shape, config.dropout_rate, dtype)
+            layer["drop1"] = _dropout_mask(
+                dropout_rng, padded_shape, config.dropout_rate, dtype, t
+            )
             attn_out = attn_out * layer["drop1"]
         x1, xhat1, inv_std1 = _layer_norm(
             x + attn_out, tensors[f"{prefix}.ln1.scale"], tensors[f"{prefix}.ln1.offset"]
@@ -255,7 +285,9 @@ def forward(
         h = gelu(u)
         ff_out = h @ tensors[f"{prefix}.ff.w2"]
         if use_dropout:
-            layer["drop2"] = _dropout_mask(dropout_rng, ff_out.shape, config.dropout_rate, dtype)
+            layer["drop2"] = _dropout_mask(
+                dropout_rng, padded_shape, config.dropout_rate, dtype, t
+            )
             ff_out = ff_out * layer["drop2"]
         x2, xhat2, inv_std2 = _layer_norm(
             x1 + ff_out, tensors[f"{prefix}.ln2.scale"], tensors[f"{prefix}.ln2.offset"]
@@ -281,7 +313,10 @@ def forward(
 def backward(
     params: ModelParameters, cache: ForwardCache, dlogits: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Exact gradients of the loss w.r.t. every tensor, given d(loss)/d(logits)."""
+    """Exact gradients of the loss w.r.t. every tensor, given d(loss)/d(logits).
+
+    Position-embedding rows at or past the cache's length T get zero gradient.
+    """
     if cache.params_version != params.version:
         raise StaleCache(
             f"cache built for parameter version {cache.params_version}, "
@@ -357,7 +392,7 @@ def backward(
             + dV @ tensors[f"{prefix}.attn.w_v"].T
         )
 
-    grads["position_embedding"] += dx.sum(axis=0)
+    grads["position_embedding"][:t] += dx.sum(axis=0)
     np.add.at(grads["token_embedding"], cache.ids, dx)
     return grads
 
@@ -367,7 +402,8 @@ def predict(
 ) -> tuple[Label, np.ndarray]:
     """Encode, run inference, and return (label, class probabilities).
 
-    Ties break toward the lowest label index.
+    The batch-1 forward computes only the text's own encoded length. Ties
+    break toward the lowest label index.
     """
     from .metrics import softmax
 

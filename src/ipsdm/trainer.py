@@ -464,6 +464,10 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read an IPSD container. A file that is not one, fails its checksum,
+    or whose header, model config or tensor table is not what save_checkpoint
+    writes for that config raises CorruptFile; another format version raises
+    VersionMismatch."""
     data = Path(path).read_bytes()
     if len(data) < 16 or data[:4] != CHECKPOINT_MAGIC:
         raise CorruptFile(f"{path} is not a checkpoint file (bad magic)")
@@ -486,29 +490,98 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CorruptFile(f"{path} has an unreadable header: {err}") from None
 
+    config, table = _check_header(header, path)
     offset = head_end
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        nbytes = int(np.prod(shape)) * 4 if shape else 4
+    for name, shape in table:
+        nbytes = 4 * math.prod(shape)
         raw = data[offset : offset + nbytes]
         if len(raw) != nbytes:
-            raise CorruptFile(f"{path} is truncated inside tensor {entry['name']}")
-        tensors[entry["name"]] = (
-            np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-        )
+            raise CorruptFile(f"{path} is truncated inside tensor {name}")
+        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         offset += nbytes
     if offset != len(data) - 4:
         raise CorruptFile(f"{path} has {len(data) - 4 - offset} unexpected trailing bytes")
 
+    try:
+        history = [EpochRecord.from_dict(r) for r in header["history"]]
+    except (KeyError, TypeError, ValueError) as err:
+        raise CorruptFile(f"{path} has an unreadable history record: {err!r}") from None
     return Checkpoint(
         format_version=version,
-        config=ModelConfig(**header["model_config"]),
+        config=config,
         vocab_sha256=header["vocab_sha256"],
         tensors=tensors,
-        history=[EpochRecord.from_dict(r) for r in header["history"]],
-        resumable=bool(header["resumable"]),
+        history=history,
+        resumable=header["resumable"],
         optimizer_step=header["optimizer_step"],
         best_epoch=header["best_epoch"],
         best_metric=header["best_metric"],
     )
+
+
+# JSON type(s) of every checkpoint header value; a float field also takes an int.
+_HEADER_TYPES = {
+    "model_config": (dict,),
+    "vocab_sha256": (str,),
+    "history": (list,),
+    "resumable": (bool,),
+    "optimizer_step": (int, type(None)),
+    "best_epoch": (int, type(None)),
+    "best_metric": (float, int, type(None)),
+    "tensors": (list,),
+}
+
+
+def _check_header(header, path) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...]]]]:
+    """Validate a checkpoint header; return its model config and tensor table.
+
+    The table must name exactly the tensors model.tensor_shapes gives for the
+    config, with the same shapes; a resumable checkpoint also holds the best
+    parameters and both optimizer moments under the best./opt.m./opt.v.
+    prefixes.
+    """
+    if not isinstance(header, dict):
+        raise CorruptFile(f"{path} has a header that is not a JSON object")
+    for key, kinds in _HEADER_TYPES.items():
+        if key not in header:
+            raise CorruptFile(f"{path} header lacks {key!r}")
+        if type(header[key]) not in kinds:
+            raise CorruptFile(f"{path} header {key!r} has the wrong type: {header[key]!r}")
+    if header["resumable"] and header["optimizer_step"] is None:
+        raise CorruptFile(f"{path} is resumable but has no optimizer step")
+    try:
+        config = ModelConfig(**header["model_config"])
+        config.validate()
+    except (TypeError, ValueError) as err:
+        raise CorruptFile(f"{path} has an invalid model config: {err}") from None
+
+    table = []
+    for entry in header["tensors"]:
+        if not (
+            isinstance(entry, dict)
+            and type(entry.get("name")) is str
+            and type(entry.get("shape")) is list
+            and all(type(n) is int and n >= 0 for n in entry["shape"])
+        ):
+            raise CorruptFile(f"{path} has a malformed tensor table entry: {entry!r}")
+        table.append((entry["name"], tuple(entry["shape"])))
+    shapes = model_mod.tensor_shapes(config)
+    prefixes = ("", "best.", "opt.m.", "opt.v.") if header["resumable"] else ("",)
+    expected = {prefix + name: shape for prefix in prefixes for name, shape in shapes.items()}
+    found = dict(table)
+    if len(found) != len(table):
+        raise CorruptFile(f"{path} names a tensor twice")
+    missing = sorted(set(expected) - set(found))
+    unexpected = sorted(set(found) - set(expected))
+    if missing or unexpected:
+        raise CorruptFile(
+            f"{path} does not hold the model's tensors: missing {missing}, unexpected {unexpected}"
+        )
+    for name, shape in table:
+        if shape != expected[name]:
+            raise CorruptFile(
+                f"{path} tensor {name} has shape {list(shape)}, "
+                f"the model needs {list(expected[name])}"
+            )
+    return config, table

@@ -6,6 +6,10 @@ sets are disjoint, a trivial keyword rule labels every generated text with
 separable before any model is trained on it.
 """
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -54,6 +58,31 @@ def make_separable_corpus(
             samples.append(LabeledEmail(" ".join(words), label, "synthetic", row))
             row += 1
     return Corpus.from_samples(samples)
+
+
+def rewrite_checkpoint(src, dst, edit_tensors=None, edit_header=None) -> None:
+    """Copy a checkpoint file with its tensors and then its header edited in
+    place, and a CRC that matches again, so that only the checks on the
+    content can reject it. The tensor table is rebuilt from the tensors
+    before edit_header runs."""
+    data = src.read_bytes()
+    (head_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + head_len])
+    tensors, offset = {}, 12 + head_len
+    for entry in header["tensors"]:
+        nbytes = 4 * int(np.prod(entry["shape"]))
+        tensors[entry["name"]] = np.frombuffer(data[offset : offset + nbytes], "<f4").reshape(
+            entry["shape"])
+        offset += nbytes
+    if edit_tensors is not None:
+        edit_tensors(tensors)
+    header["tensors"] = [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()]
+    if edit_header is not None:
+        edit_header(header)
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = data[:8] + struct.pack("<I", len(head)) + head + b"".join(
+        np.ascontiguousarray(t, dtype="<f4").tobytes() for t in tensors.values())
+    dst.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from ipsdm.model import ModelConfig, init
 from ipsdm.tokenizer import load_vocab, save_vocab, train_vocab, vocab_sha256
 from ipsdm.trainer import Checkpoint, save_checkpoint
 
-from conftest import make_separable_corpus
+from conftest import make_separable_corpus, rewrite_checkpoint
 from ipsdm.corpus import Label
 
 SMALL_MODEL = {
@@ -522,6 +522,21 @@ def test_classify_rejects_corrupt_vocabulary(zero_head_checkpoint, tmp_path, cap
     ]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert f"{bad}: merge 0: " in err
+    assert "Traceback" not in err
+
+
+def test_classify_rejects_a_checkpoint_whose_tensors_do_not_fit_its_config(
+    zero_head_checkpoint, tmp_path, capsys
+):
+    ckpt_path, vocab_path = zero_head_checkpoint
+    short = tmp_path / "short_positions.ckpt"  # 12 position rows under max_len 24
+    rewrite_checkpoint(ckpt_path, short, edit_tensors=lambda t: t.update(
+        position_embedding=t["position_embedding"][:12]))
+    assert main([
+        "classify", "--checkpoint", str(short), "--vocab", str(vocab_path), "--text", "hi",
+    ]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{short} tensor position_embedding has shape [12, 16]" in err
     assert "Traceback" not in err
 
 

@@ -65,6 +65,10 @@ def test_config_validation():
         ModelConfig(2, 2, 8, 16, 12, 280, dropout_rate=1.0).validate()
     with pytest.raises(ValueError):
         ModelConfig(2, 2, 8, 16, 12, 280, pooling="max").validate()
+    with pytest.raises(ValueError):
+        ModelConfig(2, 2, 8, 16.0, 12, 280).validate()  # sizes are ints
+    with pytest.raises(ValueError):
+        ModelConfig(2, 2, 8, 16, 12, "280").validate()
     SMALL.validate()
 
 
@@ -270,6 +274,25 @@ def test_forward_dropout_reproducible_and_off_at_eval():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, eval_logits)
+
+
+def test_dropout_masks_follow_the_full_length_stream():
+    """Masks are drawn for all max_len positions and cut to the batch's
+    longest true length T, so a short batch consumes the same uniforms as the
+    full-length computation and keeps the leading T positions of its masks."""
+    config = ModelConfig(2, 2, 8, 16, 12, 280, dropout_rate=0.5)
+    params = init(config, seed=0)
+    batch = _batch(["free cash", "hi", "team"])
+    t = max(seq.true_length for seq in batch)
+    assert t < config.max_len
+    rng = np.random.default_rng(4)
+    _, cache = forward(params, batch, training=True, dropout_rng=rng)
+    reference = np.random.default_rng(4)
+    for layer in cache.layers:
+        for key in ("drop1", "drop2"):
+            full = _dropout_mask(reference, (len(batch), 12, 8), 0.5, np.float32)
+            assert np.array_equal(layer[key], full[:, :t]), key
+    assert rng.random() == reference.random()
 
 
 def test_forward_zero_rate_training_equals_eval():

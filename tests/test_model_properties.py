@@ -1,0 +1,84 @@
+"""Property test: the trimmed forward/backward against a full-length run.
+
+`forward` computes only up to the batch's longest true length T. The oracle
+is the same batch with one extra sequence of true length max_len appended,
+which forces T = max_len (the pre-trimming compute), and a zero upstream
+gradient for that extra row, so it adds nothing to any gradient. Logits and
+every gradient must agree to rounding; `cache.ids` must have T columns, so
+that a silent return to full-length compute fails here.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ipsdm.model import ModelConfig, backward, forward, init
+from ipsdm.tokenizer import CLS_ID, PAD_ID, SEP_ID, TokenSequence
+
+MAX_LEN = 16
+VOCAB = 40
+# Lengths below 8 change how numpy groups its sums, so they are drawn often,
+# as are the extremes 2 (cls + sep) and max_len (nothing to trim).
+lengths = st.sampled_from([2, 3, 5, 7, MAX_LEN]) | st.integers(2, MAX_LEN)
+
+
+def _sequence(rng, true_length):
+    content = [int(i) for i in rng.integers(4, VOCAB, size=true_length - 2)]
+    ids = [CLS_ID, *content, SEP_ID] + [PAD_ID] * (MAX_LEN - true_length)
+    mask = [1] * true_length + [0] * (MAX_LEN - true_length)
+    return TokenSequence(ids=ids, attention_mask=mask, true_length=true_length)
+
+
+def _params(config, seed, dtype):
+    """Weights scaled up from init so attention is far from uniform and
+    gradients are well above rounding."""
+    params = init(config, seed=seed, dtype=dtype)
+    for name, tensor in params.tensors.items():
+        if not name.endswith((".scale", ".offset", ".bias")):
+            tensor *= 6.0
+    return params
+
+
+def _assert_close(actual, desired, name):
+    """float64: rtol 1e-12, with an atol of 1e-12 times the tensor's largest
+    entry, since a sum's rounding follows its terms, not its result, and an
+    entry that cancels to near zero is held to the tensor's scale. float32:
+    the tolerance of test_forward_single_vs_batched_rows_agree."""
+    if desired.dtype == np.float64:
+        rtol, atol = 1e-12, 1e-12 * float(np.abs(desired).max())
+    else:
+        rtol, atol = 1e-5, 1e-6
+    np.testing.assert_allclose(actual, desired, rtol=rtol, atol=atol, err_msg=name)
+
+
+@given(
+    true_lengths=st.lists(lengths, min_size=1, max_size=4),
+    pooling=st.sampled_from(["first_token", "mean"]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**16),
+)
+def test_trimmed_pass_matches_full_length_pass(true_lengths, pooling, dtype, seed):
+    config = ModelConfig(
+        num_layers=2, num_heads=2, d_model=8, d_ff=16, max_len=MAX_LEN, vocab_size=VOCAB,
+        dropout_rate=0.0, pooling=pooling,
+    )
+    params = _params(config, seed, dtype)
+    rng = np.random.default_rng(seed)
+    batch = [_sequence(rng, n) for n in true_lengths]
+    full_length = _sequence(rng, MAX_LEN)
+    dlogits = rng.normal(size=(len(batch), config.num_labels)).astype(dtype)
+
+    logits, cache = forward(params, batch, training=False)
+    assert cache.ids.shape == (len(batch), max(true_lengths))
+    grads = backward(params, cache, dlogits)
+
+    full_logits, full_cache = forward(params, [*batch, full_length], training=False)
+    assert full_cache.ids.shape == (len(batch) + 1, MAX_LEN)
+    zero_row = np.zeros((1, config.num_labels), dtype=dtype)
+    full_grads = backward(params, full_cache, np.concatenate([dlogits, zero_row]))
+
+    _assert_close(logits, full_logits[: len(batch)], "logits")
+    assert set(grads) == set(full_grads)
+    for name, grad in grads.items():
+        assert grad.dtype == dtype
+        _assert_close(grad, full_grads[name], name)

@@ -35,7 +35,7 @@ from ipsdm.trainer import (
 )
 from ipsdm.tokenizer import train_vocab, vocab_sha256
 
-from conftest import make_separable_corpus
+from conftest import make_separable_corpus, rewrite_checkpoint
 
 
 def _training_setup(counts, seed=0, **overrides):
@@ -241,8 +241,9 @@ def test_train_early_stopping_patience():
 def test_train_divergence_raises_with_checkpoint():
     """The "paper" update rule multiplies zero-gradient parameters by
     -(lr*wd/eps) every step, so rows that are read in the forward pass but
-    receive no gradient (the padding embedding row, trailing position rows)
-    overflow after a dozen steps and poison the loss.  Full-batch training
+    receive no gradient (the padding embedding row, read at the padded
+    positions of the batch's shorter texts) overflow after a dozen steps and
+    poison the loss.  Full-batch training
     confines the blowup to those rows — with smaller batches any token that
     sits out a few consecutive steps explodes before finishing epoch 1 —
     so several epochs complete first and the error must carry the last good
@@ -506,6 +507,94 @@ def test_checkpoint_corruption_detection(memorized, tmp_path):
     future.write_bytes(bumped)
     with pytest.raises(VersionMismatch):
         load_checkpoint(future)
+
+
+_SMALL_MODEL = ModelConfig(
+    num_layers=1, num_heads=2, d_model=16, d_ff=32, max_len=24, vocab_size=280,
+    dropout_rate=0.0,
+)
+
+
+def _small_checkpoint(tmp_path, resumable):
+    tensors = init(_SMALL_MODEL, seed=0).tensors
+    if resumable:
+        tensors = {
+            f"{prefix}{name}": t.copy()
+            for prefix in ("", "best.", "opt.m.", "opt.v.")
+            for name, t in tensors.items()
+        }
+    path = tmp_path / "good.ckpt"
+    save_checkpoint(
+        Checkpoint(
+            format_version=1, config=_SMALL_MODEL, vocab_sha256="0" * 64, tensors=tensors,
+            resumable=resumable, optimizer_step=3 if resumable else None,
+        ),
+        path,
+    )
+    return path
+
+
+W1 = "layers.0.ff.w1"
+
+# (case, resumable source, tensor edit, header edit, message fragment)
+_FORGED_CHECKPOINTS = [
+    ("header key missing", False, None, lambda h: h.pop("history"), "lacks 'history'"),
+    ("model config missing", False, None, lambda h: h.pop("model_config"),
+     "lacks 'model_config'"),
+    ("flag of the wrong type", False, None, lambda h: h.update(resumable="no"), "wrong type"),
+    ("step of the wrong type", False, None, lambda h: h.update(optimizer_step=1.5),
+     "wrong type"),
+    ("hash of the wrong type", False, None, lambda h: h.update(vocab_sha256=7), "wrong type"),
+    ("resumable without a step", True, None, lambda h: h.update(optimizer_step=None),
+     "no optimizer step"),
+    ("unknown config key", False, None, lambda h: h["model_config"].update(depth=3),
+     "invalid model config"),
+    ("config key missing", False, None, lambda h: h["model_config"].pop("d_model"),
+     "invalid model config"),
+    ("heads do not divide d_model", False, None,
+     lambda h: h["model_config"].update(num_heads=3), "invalid model config"),
+    ("size of the wrong type", False, None, lambda h: h["model_config"].update(num_layers="1"),
+     "invalid model config"),
+    ("non-integer size", False, None, lambda h: h["model_config"].update(d_ff=32.0),
+     "invalid model config"),
+    ("unknown pooling", False, None, lambda h: h["model_config"].update(pooling="max"),
+     "invalid model config"),
+    ("tensor dropped", False, lambda t: t.pop("classifier.bias"), None, "classifier.bias"),
+    ("tensor added", False, lambda t: t.update(extra=np.zeros(2, np.float32)), None, "'extra'"),
+    ("tensor transposed", False, lambda t: t.update({W1: t[W1].T}), None,
+     f"{W1} has shape [32, 16]"),
+    ("position table too short", False,
+     lambda t: t.update(position_embedding=np.zeros((12, 16), np.float32)), None,
+     "position_embedding has shape [12, 16]"),
+    ("non-integer shape", False, None, lambda h: h["tensors"][0].update(shape=[280.0, 16]),
+     "malformed tensor table entry"),
+    ("final checkpoint flagged resumable", False, None,
+     lambda h: h.update(resumable=True, optimizer_step=3), "best.classifier.bias"),
+    ("resumable without a moment", True, lambda t: t.pop("opt.v.classifier.bias"), None,
+     "opt.v.classifier.bias"),
+    ("resumable tensors in a final checkpoint", True, None, lambda h: h.update(resumable=False),
+     "unexpected ['best."),
+    ("unreadable history record", False, None, lambda h: h.update(history=[{"epoch": 1}]),
+     "history record"),
+]
+
+
+@pytest.mark.parametrize(
+    "resumable,edit_tensors,edit_header,message",
+    [case[1:] for case in _FORGED_CHECKPOINTS],
+    ids=[case[0] for case in _FORGED_CHECKPOINTS],
+)
+def test_load_checkpoint_rejects_a_forged_header_or_tensor_table(
+    tmp_path, resumable, edit_tensors, edit_header, message
+):
+    good = _small_checkpoint(tmp_path, resumable)
+    assert load_checkpoint(good).resumable == resumable
+    forged = tmp_path / "forged.ckpt"
+    rewrite_checkpoint(good, forged, edit_tensors, edit_header)
+    with pytest.raises(CorruptFile) as caught:
+        load_checkpoint(forged)
+    assert str(forged) in str(caught.value)
+    assert message in str(caught.value)
 
 
 def test_checkpoint_write_is_atomic(memorized, tmp_path):
