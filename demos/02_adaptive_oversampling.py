@@ -7,7 +7,7 @@ get more synthetics than samples deep inside their own cluster.
 
 from ipsdm.balance import CountVector, balance_corpus, plan_adasyn, synthesize_detailed
 from ipsdm.corpus import Corpus, Label, LabeledEmail
-from ipsdm.tokenizer import train_vocab
+from ipsdm.tokenizer import encode, train_vocab
 
 # Two clusters of "ham" and a small "spam" group. One spam point sits right
 # next to the ham cluster (hard), the other two are far away (easy).
@@ -70,7 +70,8 @@ def main():
 
     # each synthetic keeps a prefix of its parent and a suffix of a same-class
     # neighbor; the provenance records show exactly which pair produced it
-    _, records = synthesize_detailed(text_plan, corpus, vocab, seed=0, max_len=32)
+    windows = [encode(vocab, s.text, 32).content_ids for s in corpus.samples]
+    _, records = synthesize_detailed(text_plan, corpus, windows, vocab, seed=0)
     print("synthetic spam with provenance:")
     for record in records:
         print(f"  parent {record.sample_index} + neighbor {record.neighbor_index} "

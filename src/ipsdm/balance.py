@@ -1,10 +1,12 @@
 """Adaptive synthetic oversampling (ADASYN) of minority classes.
 
-Samples live in an L2-normalized sub-word count space. The plan allocates
-more synthetics to minority samples whose k nearest neighbors (over all
-classes) are dominated by other classes; synthesis splices the token
-prefix of a sample with the token suffix of a same-class neighbor and
-decodes the result back to text.
+balance_corpus encodes each sample once, into its content window (the
+sub-word ids the classifier sees at max_len); everything after it works on
+those windows. Samples live in an L2-normalized count space over the windows.
+The plan allocates more synthetics to minority samples whose k nearest
+neighbors (over all classes) are dominated by other classes; synthesis
+splices the window prefix of a sample with the window suffix of a same-class
+neighbor and decodes the result back to text.
 """
 
 import math
@@ -71,12 +73,12 @@ def _half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def vectorize(corpus: Corpus, vocab: Vocabulary, max_len: int = 128) -> list[CountVector]:
-    """Sub-word count vector for each sample, over the same truncation window
-    the classifier sees. Empty documents yield the zero vector."""
+def vectorize(windows: list[list[int]]) -> list[CountVector]:
+    """Sub-word count vector for each content window (the content ids of a
+    sample encoded at the classifier's max_len; encoding is the caller's).
+    An empty window yields the zero vector."""
     out = []
-    for sample in corpus.samples:
-        content = encode(vocab, sample.text, max_len).content_ids
+    for content in windows:
         if not content:
             out.append(CountVector(indices=(), values=()))
             continue
@@ -100,13 +102,6 @@ def _sparse_matrix(vectors: list[CountVector], dim: int) -> sparse.csr_matrix:
         (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
         shape=(len(vectors), dim),
     )
-
-
-def _k_nearest(d2_row: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
-    """Indices (into candidates) of the k smallest distances, ties broken by
-    ascending sample index."""
-    order = np.lexsort((candidates, d2_row))
-    return candidates[order[:k]]
 
 
 def check_params(k: int, beta: float) -> None:
@@ -162,7 +157,6 @@ def plan_adasyn(
     # d^2(i, j) = |i|^2 + |j|^2 - 2 <i, j>
     d2 = np.maximum(sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram, 0.0)
 
-    valid_pos = {int(g): p for p, g in enumerate(valid)}
     valid_labels = np.array([labels[i] for i in valid])
 
     targets = []
@@ -172,36 +166,33 @@ def plan_adasyn(
         targets.append((c, g_total))
         if g_total <= 0:
             continue
-        members = [int(i) for i in valid if labels[i] == c]
-        if not members:
+        members = np.flatnonzero(valid_labels == c)  # positions in valid
+        if not len(members):
             continue  # every sample of this class is empty; nothing to seed from
-        ratios = []
-        for i in members:
-            pos = valid_pos[i]
+        ratios, neighbors = [], []
+        for pos in members:
             row = d2[pos].copy()
-            row[pos] = np.inf  # exclude self
-            nearest = _k_nearest(row, valid, k)
-            other = sum(1 for j in nearest if labels[int(j)] != c)
-            ratios.append(other / k)
+            row[pos] = np.inf  # self ranks last, and is dropped
+            # One ranking by (distance, sample index): its head gives r, and
+            # its same-class subsequence, still in that order, the neighbors.
+            order = np.lexsort((valid, row))[:-1]
+            ratios.append(int(np.count_nonzero(valid_labels[order[:k]] != c)) / k)
+            same = order[valid_labels[order] == c]
+            neighbors.append(tuple(int(j) for j in valid[same[:k]]))
         total_r = sum(ratios)
         if total_r > 0.0:
             r_hats = [r / total_r for r in ratios]
         else:
             r_hats = [1.0 / len(members)] * len(members)
-        for i, r, r_hat in zip(members, ratios, r_hats):
-            pos = valid_pos[i]
-            same = valid[valid_labels == c]
-            same = same[same != i]
-            row = d2[pos][np.array([valid_pos[int(j)] for j in same], dtype=np.int64)]
-            neighbors = _k_nearest(row, same, k) if len(same) else np.array([], dtype=np.int64)
+        for pos, r, r_hat, near in zip(members, ratios, r_hats, neighbors):
             items.append(
                 PlanItem(
-                    sample_index=i,
+                    sample_index=int(valid[pos]),
                     label=c,
                     r=r,
                     r_hat=r_hat,
                     g=_half_up(r_hat * g_total),
-                    same_class_neighbors=tuple(int(j) for j in neighbors),
+                    same_class_neighbors=near,
                 )
             )
     items.sort(key=lambda item: item.sample_index)
@@ -232,24 +223,21 @@ def _splice(parent: list[int], neighbor: list[int], lam: float) -> list[int]:
 def synthesize_detailed(
     plan: AdasynPlan,
     corpus: Corpus,
+    windows: list[list[int]],
     vocab: Vocabulary,
     seed: int,
-    max_len: int = 128,
 ) -> tuple[Corpus, list[SynthesisRecord]]:
     """As synthesize, but also return per-synthetic provenance records."""
+    if len(windows) != len(corpus):
+        raise ValueError(f"{len(windows)} windows but {len(corpus)} samples")
     if plan.is_empty:
         raise NothingToBalance("plan contains no synthetics to generate")
     rng = np.random.default_rng(seed)
-    window = {
-        item.sample_index: encode(vocab, corpus.samples[item.sample_index].text, max_len).content_ids
-        for item in plan.items
-    }
-    neighbor_window: dict[int, list[int]] = {}
     records: list[SynthesisRecord] = []
     row_index = 0
     synthetics: list[LabeledEmail] = []
     for item in plan.items:  # ascending sample index: one sequential random stream
-        parent = window[item.sample_index]
+        parent = windows[item.sample_index]
         for _ in range(item.g):
             if not item.same_class_neighbors:
                 # no same-class neighbor to splice with: duplicate verbatim
@@ -259,9 +247,7 @@ def synthesize_detailed(
             else:
                 z = int(item.same_class_neighbors[int(rng.integers(len(item.same_class_neighbors)))])
                 lam = float(rng.random())
-                if z not in neighbor_window:
-                    neighbor_window[z] = encode(vocab, corpus.samples[z].text, max_len).content_ids
-                spliced = _splice(parent, neighbor_window[z], lam)
+                spliced = _splice(parent, windows[z], lam)
                 tokens = tuple(spliced)
                 text = decode(vocab, spliced)
             synthetics.append(
@@ -290,12 +276,15 @@ def synthesize_detailed(
 def synthesize(
     plan: AdasynPlan,
     corpus: Corpus,
+    windows: list[list[int]],
     vocab: Vocabulary,
     seed: int,
-    max_len: int = 128,
 ) -> Corpus:
-    """Generate the planned synthetics and return original + synthetics."""
-    merged, _ = synthesize_detailed(plan, corpus, vocab, seed, max_len=max_len)
+    """Generate the planned synthetics and return original + synthetics.
+
+    windows[i] is sample i's content window, as balance_corpus encodes it;
+    parents and neighbors are spliced from these, nothing is encoded here."""
+    merged, _ = synthesize_detailed(plan, corpus, windows, vocab, seed)
     return merged
 
 
@@ -307,13 +296,13 @@ def balance_corpus(
     seed: int = 0,
     max_len: int = 128,
 ) -> tuple[Corpus, AdasynPlan]:
-    """End-to-end: vectorize, plan, synthesize. An already-balanced corpus is
-    returned unchanged alongside its empty plan."""
-    vectors = vectorize(corpus, vocab, max_len=max_len)
-    plan = plan_adasyn(vectors, [int(s.label) for s in corpus.samples], k=k, beta=beta)
+    """End-to-end: encode each sample once, vectorize, plan, synthesize. An
+    already-balanced corpus is returned unchanged alongside its empty plan."""
+    windows = [encode(vocab, s.text, max_len).content_ids for s in corpus.samples]
+    plan = plan_adasyn(vectorize(windows), [int(s.label) for s in corpus.samples], k=k, beta=beta)
     if plan.is_empty:
         return corpus, plan
-    return synthesize(plan, corpus, vocab, seed, max_len=max_len), plan
+    return synthesize(plan, corpus, windows, vocab, seed), plan
 
 
 def balance_report(before: Corpus, after: Corpus) -> dict:

@@ -297,26 +297,33 @@ def read_split_csv(path) -> Corpus:
     samples: list[LabeledEmail] = []
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        try:
+            header = reader.fieldnames or []
+        except csv.Error as exc:
+            raise MalformedCsv(f"{path} header: {exc}") from None
         for column in ("text", "label", "source_id", "row_index"):
             if column not in header:
                 raise MissingColumn(f"{path} header lacks column {column!r}")
-        for row_number, row in enumerate(reader):
-            label = (row["label"] or "").strip().lower()
-            if label not in LABEL_NAMES:
-                raise MalformedCsv(f"{path} row {row_number}: unknown label {row['label']!r}")
-            try:
-                row_index = int(row["row_index"])
-            except (TypeError, ValueError):
-                raise MalformedCsv(
-                    f"{path} row {row_number}: row_index {row['row_index']!r} is not an integer"
-                ) from None
-            samples.append(
-                LabeledEmail(
-                    text=row["text"],
-                    label=Label[label],
-                    source_id=row["source_id"],
-                    row_index=row_index,
+        try:
+            for row_number, row in enumerate(reader):
+                label = (row["label"] or "").strip().lower()
+                if label not in LABEL_NAMES:
+                    raise MalformedCsv(f"{path} row {row_number}: unknown label {row['label']!r}")
+                try:
+                    row_index = int(row["row_index"])
+                except (TypeError, ValueError):
+                    raise MalformedCsv(
+                        f"{path} row {row_number}: row_index {row['row_index']!r} is not an integer"
+                    ) from None
+                samples.append(
+                    LabeledEmail(
+                        text=row["text"],
+                        label=Label[label],
+                        source_id=row["source_id"],
+                        row_index=row_index,
+                    )
                 )
-            )
+        except csv.Error as exc:
+            # Every row read so far became a sample, so the failing row is next.
+            raise MalformedCsv(f"{path} row {len(samples)}: {exc}") from None
     return Corpus.from_samples(samples)

@@ -93,7 +93,6 @@ class ForwardCache:
     x_in: np.ndarray
     layers: list[dict] = field(default_factory=list)
     pooled: Optional[np.ndarray] = None
-    training: bool = False
     params_version: int = -1
 
 
@@ -260,7 +259,6 @@ def forward(
         ids=ids,
         key_mask=key_mask,
         x_in=x,
-        training=training,
         params_version=params.version,
     )
 

@@ -34,15 +34,12 @@ _NONE = -1  # no neighbour, or a position whose token a merge absorbed
 
 @dataclass
 class Vocabulary:
-    """Ordered merge rules plus the token<->id maps they induce."""
+    """Ordered merge rules plus the token<->id maps they induce. The special
+    ids are the module's fixed CLS_ID, SEP_ID, PAD_ID and UNK_ID."""
 
     merges: list[tuple[bytes, bytes]]
     token_to_id: dict[bytes, int]
     id_to_token: dict[int, bytes]
-    cls_id: int = CLS_ID
-    sep_id: int = SEP_ID
-    pad_id: int = PAD_ID
-    unk_id: int = UNK_ID
     # (left id, right id) -> (rank, merged id) for encode: the first rank of
     # each id pair wins, and the merged id is the last one its bytes got.
     merge_table: dict[tuple[int, int], tuple[int, int]] = field(
@@ -263,9 +260,9 @@ def encode(vocab: Vocabulary, text: str, max_len: int = 128) -> TokenSequence:
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
     content = _apply_merges(vocab, _text_to_byte_ids(text))[: max_len - 2]
-    ids = [vocab.cls_id] + content + [vocab.sep_id]
+    ids = [CLS_ID] + content + [SEP_ID]
     true_length = len(ids)
-    ids.extend([vocab.pad_id] * (max_len - true_length))
+    ids.extend([PAD_ID] * (max_len - true_length))
     mask = [1] * true_length + [0] * (max_len - true_length)
     return TokenSequence(ids=ids, attention_mask=mask, true_length=true_length)
 
@@ -290,12 +287,7 @@ def vocab_to_json(vocab: Vocabulary) -> str:
             [left.decode("latin-1"), right.decode("latin-1")]
             for left, right in vocab.merges
         ],
-        "special": {
-            "cls_id": vocab.cls_id,
-            "sep_id": vocab.sep_id,
-            "pad_id": vocab.pad_id,
-            "unk_id": vocab.unk_id,
-        },
+        "special": _SPECIAL_IDS,
         "vocab_size": vocab.size,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)

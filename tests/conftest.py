@@ -22,7 +22,9 @@ PHISHING_WORDS = ["verify", "account", "password", "login", "urgent", "suspended
 FILLER_WORDS = ["the", "and", "please", "today", "now", "your", "this", "for"]
 
 # Property tests draw the same examples on every run and never time out, so a
-# slow, shared machine cannot make them flaky; nothing is stored on disk.
+# slow, shared machine cannot make them flaky. No example database is kept,
+# but a failing property still makes hypothesis's pytest plugin write a
+# .hypothesis/patches/<date>--<hash>.patch into the working directory.
 settings.register_profile("ipsdm", deadline=None, derandomize=True, database=None, max_examples=200)
 settings.load_profile("ipsdm")
 

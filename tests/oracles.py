@@ -191,8 +191,10 @@ def exhaustive_adasyn_plan(points, labels, k: int, beta: float):
     """Reference allocation: dense points, all pairwise Euclidean distances
     enumerated, neighbors sorted by (distance, index), self excluded.
 
-    Returns {class: (G, {sample_index: (r, r_hat, g)})} for each minority
-    class. Rounding is half-up, matching the documented convention.
+    Returns {class: (G, {sample_index: (r, r_hat, g, same)})} for each
+    minority class, where same is the sample's first k same-class neighbors
+    in that order, ranked among the class members alone. Rounding is
+    half-up, matching the documented convention.
     """
     points = [np.asarray(p, dtype=np.float64) for p in points]
     n = len(points)
@@ -225,7 +227,8 @@ def exhaustive_adasyn_plan(points, labels, k: int, beta: float):
         allocation = {}
         for i in members:
             r_hat = rs[i] / total_r if total_r > 0 else 1.0 / len(members)
-            allocation[i] = (rs[i], r_hat, half_up(r_hat * g_total))
+            same = tuple(neighbors_of(i, [j for j in members if j != i]))
+            allocation[i] = (rs[i], r_hat, half_up(r_hat * g_total), same)
         result[c] = (g_total, allocation)
     return result
 

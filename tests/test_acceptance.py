@@ -194,9 +194,10 @@ def _dense_to_vectors(points):
 
 
 def test_criterion_4_oversampling_plan_matches_exhaustive_oracle():
-    """The allocation plan (r, r_hat, g, G) matches an exhaustive pairwise
-    distance oracle exactly on fixed 2-D fixtures, and balancing drives every
-    class to within one original minority size of the majority count."""
+    """The allocation plan (r, r_hat, g, G and each sample's same-class
+    neighbors) matches an exhaustive pairwise distance oracle exactly on
+    fixed 2-D fixtures, and balancing drives every class to within one
+    original minority size of the majority count."""
     two_class = (
         [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (10, 10), (11, 10)],
         [0, 0, 0, 0, 0, 0, 1, 1],
@@ -217,10 +218,11 @@ def test_criterion_4_oversampling_plan_matches_exhaustive_oracle():
             items = {item.sample_index: item for item in plan.items}
             for c, (g_total, allocation) in oracle.items():
                 assert plan.target_for(Label(c)) == g_total
-                for i, (r, r_hat, g) in allocation.items():
+                for i, (r, r_hat, g, same) in allocation.items():
                     assert items[i].r == r, (c, i)
                     assert items[i].r_hat == r_hat, (c, i)
                     assert items[i].g == g, (c, i)
+                    assert items[i].same_class_neighbors == same, (c, i)
 
     corpus = make_separable_corpus(
         {Label.ham: 30, Label.spam: 20, Label.phishing: 10}, seed=7

@@ -3,7 +3,8 @@
 Allocation tests compare against ``oracles.exhaustive_adasyn_plan``, which
 ranks neighbors by brute-force square-root distances over dense points; the
 library route uses sparse Gram-matrix algebra. Integer-coordinate fixtures
-keep both routes exact, so comparisons are ==, not approx.
+keep both routes exact, so comparisons are ==, not approx; a hypothesis
+property draws such fixtures on a small grid, where equal distances abound.
 """
 
 import math
@@ -11,7 +12,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import ipsdm.balance as balance_module
 from ipsdm.balance import (
     DEFAULT_BETA,
     DEFAULT_K,
@@ -41,6 +45,11 @@ def _unit(index):
     """A unit vector on a single axis; pairwise squared distance is exactly
     0 (same axis) or 2 (different axes)."""
     return CountVector(indices=(index,), values=(1.0,))
+
+
+def _windows(corpus, vocab, max_len=128):
+    """Each sample's content window, as balance_corpus encodes it."""
+    return [encode(vocab, s.text, max_len).content_ids for s in corpus.samples]
 
 
 def _simple_corpus(texts, labels):
@@ -77,12 +86,13 @@ def _plan_matches_oracle(points, labels, k, beta):
     }
     assert set(items) == expected_members
     for c, (_, allocation) in expected.items():
-        for i, (r, r_hat, g) in allocation.items():
+        for i, (r, r_hat, g, same) in allocation.items():
             item = items[i]
             assert item.label == c
             assert item.r == r
             assert item.r_hat == r_hat
             assert item.g == g
+            assert item.same_class_neighbors == same
     return plan
 
 
@@ -93,7 +103,7 @@ def _plan_matches_oracle(points, labels, k, beta):
 def test_vectorize_repeated_token_is_unit_spike():
     corpus = _simple_corpus(["aa"], [0])
     vocab = Vocabulary.from_merges([])
-    (vec,) = vectorize(corpus, vocab)
+    (vec,) = vectorize(_windows(corpus, vocab))
     assert vec.indices == (4 + ord("a"),)
     assert vec.values == (1.0,)
     assert not vec.is_zero
@@ -101,14 +111,14 @@ def test_vectorize_repeated_token_is_unit_spike():
 
 def test_vectorize_two_distinct_tokens():
     corpus = _simple_corpus(["ab"], [0])
-    (vec,) = vectorize(corpus, Vocabulary.from_merges([]))
+    (vec,) = vectorize(_windows(corpus, Vocabulary.from_merges([])))
     assert vec.indices == (4 + ord("a"), 4 + ord("b"))
     assert vec.values == pytest.approx((1 / math.sqrt(2), 1 / math.sqrt(2)))
 
 
 def test_vectorize_is_l2_normalized(tiny_corpus):
     vocab = train_vocab(tiny_corpus, vocab_size=280)
-    for vec in vectorize(tiny_corpus, vocab):
+    for vec in vectorize(_windows(tiny_corpus, vocab)):
         assert sum(v * v for v in vec.values) == pytest.approx(1.0, abs=1e-12)
         assert list(vec.indices) == sorted(set(vec.indices))
         assert all(v > 0 for v in vec.values)
@@ -119,10 +129,10 @@ def test_vectorize_counts_only_truncation_window():
     # identical; with max_len=2 there is no content window at all.
     corpus = _simple_corpus(["aaaaffff", "aaaazzzz"], [0, 1])
     vocab = Vocabulary.from_merges([])
-    short = vectorize(corpus, vocab, max_len=6)
+    short = vectorize(_windows(corpus, vocab, max_len=6))
     assert short[0] == short[1]
     assert short[0].indices == (4 + ord("a"),)
-    empty = vectorize(corpus, vocab, max_len=2)
+    empty = vectorize(_windows(corpus, vocab, max_len=2))
     assert all(vec.is_zero for vec in empty)
 
 
@@ -165,7 +175,7 @@ def test_plan_matches_oracle_fractional_beta():
 def test_plan_matches_oracle_on_text_vectors(imbalanced_corpus):
     """End to end: real texts, sub-word count vectors, both routes."""
     vocab = train_vocab(imbalanced_corpus, vocab_size=300)
-    vectors = vectorize(imbalanced_corpus, vocab)
+    vectors = vectorize(_windows(imbalanced_corpus, vocab))
     assert not any(vec.is_zero for vec in vectors)
     dim = 1 + max(vec.indices[-1] for vec in vectors)
     dense = []
@@ -179,9 +189,30 @@ def test_plan_matches_oracle_on_text_vectors(imbalanced_corpus):
     assert dict(plan.targets) == {c: g for c, (g, _) in expected.items()}
     items = {item.sample_index: item for item in plan.items}
     for c, (_, allocation) in expected.items():
-        for i, (r, r_hat, g) in allocation.items():
+        for i, (r, r_hat, g, _) in allocation.items():
             assert items[i].r == r
             assert items[i].g == g
+
+
+@st.composite
+def tied_grids(draw):
+    """Points on a 4 x 4 integer grid, so squared distances are exact and
+    often equal (coincident points included), with every class present at
+    least twice and k below the point count."""
+    classes = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=3, max_size=6))
+    extra = draw(st.lists(st.sampled_from(classes), max_size=6))
+    labels = draw(st.permutations(classes * 2 + extra))
+    cell = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    points = draw(st.lists(cell, min_size=len(labels), max_size=len(labels)))
+    return points, labels, draw(st.integers(1, 4))
+
+
+@given(case=tied_grids())
+def test_plan_matches_oracle_on_tied_grids(case):
+    """Ties in distance break by sample index, for r and for the same-class
+    neighbors alike, and a sample is never its own neighbor."""
+    points, labels, k = case
+    _plan_matches_oracle(points, labels, k=k, beta=1.0)
 
 
 def test_plan_r_hat_sums_to_one_per_class():
@@ -329,7 +360,7 @@ def test_synthesize_empty_plan_rejected(balanced_setup):
     vectors = [_point(*p) for p in [(1, 1), (2, 2), (5, 5), (6, 6)]]
     plan = plan_adasyn(vectors, [0, 0, 1, 1], k=2)
     with pytest.raises(NothingToBalance):
-        synthesize(plan, corpus, vocab, seed=0)
+        synthesize(plan, corpus, _windows(corpus, vocab), vocab, seed=0)
 
 
 def test_synthesize_marks_provenance(balanced_setup):
@@ -357,10 +388,10 @@ def test_synthesize_consumes_rng_in_sample_index_order(balanced_setup):
     """Replaying two draws per synthetic (neighbor choice, then blend
     fraction) against a fresh generator reproduces the records exactly."""
     corpus, vocab = balanced_setup
-    vectors = vectorize(corpus, vocab)
+    vectors = vectorize(_windows(corpus, vocab))
     labels = [int(s.label) for s in corpus.samples]
     plan = plan_adasyn(vectors, labels, k=3)
-    _, records = synthesize_detailed(plan, corpus, vocab, seed=123)
+    _, records = synthesize_detailed(plan, corpus, _windows(corpus, vocab), vocab, seed=123)
 
     rng = np.random.default_rng(123)
     replayed = []
@@ -376,10 +407,10 @@ def test_synthesize_consumes_rng_in_sample_index_order(balanced_setup):
 
 def test_synthesized_tokens_come_from_parent_and_neighbor(balanced_setup):
     corpus, vocab = balanced_setup
-    vectors = vectorize(corpus, vocab)
+    vectors = vectorize(_windows(corpus, vocab))
     labels = [int(s.label) for s in corpus.samples]
     plan = plan_adasyn(vectors, labels, k=3)
-    _, records = synthesize_detailed(plan, corpus, vocab, seed=9)
+    _, records = synthesize_detailed(plan, corpus, _windows(corpus, vocab), vocab, seed=9)
     for rec in records:
         assert rec.neighbor_index >= 0
         parent = encode(vocab, corpus.samples[rec.sample_index].text, 128).content_ids
@@ -400,7 +431,7 @@ def test_synthesize_falls_back_to_duplication_without_neighbors():
     (item,) = [i for i in plan.items if i.label == 1]
     assert item.same_class_neighbors == ()
     assert item.g == 4  # whole deficit lands on the only usable seed
-    merged, records = synthesize_detailed(plan, corpus, vocab, seed=3)
+    merged, records = synthesize_detailed(plan, corpus, _windows(corpus, vocab), vocab, seed=3)
     assert all(rec.neighbor_index == -1 for rec in records)
     assert all(math.isnan(rec.lam) for rec in records)
     assert all(rec.text == "sp" for rec in records)
@@ -424,7 +455,7 @@ def test_fallback_duplication_consumes_no_rng():
     assert min(i.sample_index for i in fallback_items) < min(
         i.sample_index for i in spliced_items
     )
-    _, records = synthesize_detailed(plan, corpus, vocab, seed=55)
+    _, records = synthesize_detailed(plan, corpus, _windows(corpus, vocab), vocab, seed=55)
     first_spliced = next(r for r in records if r.neighbor_index >= 0)
     rng = np.random.default_rng(55)
     item = spliced_items[0]
@@ -462,6 +493,48 @@ def test_balance_already_balanced_returns_input():
     merged, plan = balance_corpus(corpus, vocab, seed=0)
     assert plan.is_empty
     assert merged.samples == corpus.samples
+
+
+def test_balance_encodes_each_sample_once(imbalanced_corpus, monkeypatch):
+    """Vectors and splices read the same windows: one encode per sample."""
+    vocab = train_vocab(imbalanced_corpus, vocab_size=300)
+    encoded = []
+
+    def counting_encode(vocab, text, *args, **kwargs):
+        encoded.append(text)
+        return encode(vocab, text, *args, **kwargs)
+
+    monkeypatch.setattr(balance_module, "encode", counting_encode)
+    _, plan = balance_corpus(imbalanced_corpus, vocab, seed=4)
+    assert plan.total_synthetic() > 0
+    assert encoded == [s.text for s in imbalanced_corpus.samples]
+
+
+def test_balance_plans_over_the_truncation_window(monkeypatch):
+    # With max_len=6 only four content tokens survive, so both texts look
+    # identical to the planner; with max_len=2 there is no content window.
+    corpus = _simple_corpus(["aaaaffff", "aaaazzzz"], [0, 1])
+    vocab = Vocabulary.from_merges([])
+    planned = []
+
+    def capture(vectors, *args, **kwargs):
+        planned.append(vectors)
+        return plan_adasyn(vectors, *args, **kwargs)
+
+    monkeypatch.setattr(balance_module, "plan_adasyn", capture)
+    balance_corpus(corpus, vocab, max_len=6)
+    balance_corpus(corpus, vocab, max_len=2)
+    short, empty = planned
+    assert short[0] == short[1]
+    assert short[0].indices == (4 + ord("a"),)
+    assert all(vec.is_zero for vec in empty)
+
+
+def test_synthesize_rejects_windows_of_another_corpus(balanced_setup):
+    corpus, vocab = balanced_setup
+    plan = plan_adasyn(vectorize(_windows(corpus, vocab)), [int(s.label) for s in corpus.samples])
+    with pytest.raises(ValueError, match="windows but"):
+        synthesize(plan, corpus, _windows(corpus, vocab)[:-1], vocab, seed=0)
 
 
 def test_balance_report_shape(imbalanced_corpus):

@@ -320,6 +320,26 @@ def test_split_csv_with_unknown_label_exits_input(tmp_path, capsys):
     assert not (out / "vocab.json").exists()
 
 
+def test_split_csv_with_oversized_field_exits_input(tmp_path, capsys):
+    corpus = make_separable_corpus({Label.ham: 6, Label.spam: 6}, seed=12)
+    source = _write_source_csv(tmp_path / "mail.csv", corpus)
+    out = tmp_path / "out"
+    config = _write_config(tmp_path / "config.json", [source], out)
+    assert main(["prepare", "--config", str(config)]) == EXIT_OK
+    train_csv = out / "train.csv"
+    with open(train_csv, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[1][0] = "x" * (csv.field_size_limit() + 1)
+    with open(train_csv, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+
+    assert main(["tokenizer-train", "--config", str(config)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert "train.csv row 0: field larger than field limit" in err
+    assert not (out / "vocab.json").exists()
+
+
 def test_evaluate_writes_fragment_and_prints_it(pipeline, capsys):
     config, out = pipeline
     capsys.readouterr()

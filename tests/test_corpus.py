@@ -344,6 +344,17 @@ def test_split_csv_has_split_column(tmp_path):
     assert list(rows[0]) == ["text", "label", "source_id", "row_index", "split"]
 
 
+def test_read_split_csv_rejects_oversized_field(tmp_path):
+    path = tmp_path / "train.csv"
+    samples = [
+        LabeledEmail("short", Label.ham, "src", 0),
+        LabeledEmail("x" * (csv.field_size_limit() + 1), Label.spam, "src", 1),
+    ]
+    save_split_csv(Corpus.from_samples(samples), path, split_name="train")
+    with pytest.raises(MalformedCsv, match="train.csv row 1: field larger than field limit"):
+        read_split_csv(path)
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
