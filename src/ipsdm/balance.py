@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Corpus, Label, LabeledEmail
 from .errors import NothingToBalance, TooFewSamples
@@ -92,7 +91,15 @@ def vectorize(windows: list[list[int]]) -> list[CountVector]:
     return out
 
 
-def _sparse_matrix(vectors: list[CountVector], dim: int) -> sparse.csr_matrix:
+def _sparse_matrix(vectors: list[CountVector], dim: int) -> "scipy.sparse.csr_matrix":
+    """The vectors as rows of a CSR matrix with dim columns.
+
+    scipy.sparse is imported here, at its point of use: plan_adasyn calls this
+    only when some class needs synthetics, so a balance run whose classes
+    already match starts without loading it.
+    """
+    from scipy import sparse
+
     data, indices, indptr = [], [], [0]
     for vec in vectors:
         data.extend(vec.values)

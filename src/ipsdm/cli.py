@@ -48,6 +48,7 @@ from .errors import (
 )
 from .metrics import (
     ModelReport,
+    SplitScores,
     emit_report_csv,
     emit_report_json,
     render_report_svg,
@@ -184,7 +185,7 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -473,23 +474,28 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _fragment_scores(path, doc: dict) -> SplitScores:
+    try:
+        return split_scores_from_dict(doc)
+    except InputError as err:
+        raise InputError(f"{path} is not a valid report fragment: {err}") from None
+
+
 def cmd_report(args) -> int:
     config = _config_from_args(args)
-    fragments = []
+    by_model: dict[str, dict[str, tuple[str, dict]]] = {}
+    order: list[str] = []
     for path in args.fragments:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise InputError(f"{path} is not a valid report fragment: {err}") from None
-        if "model" not in doc or "split" not in doc:
+        if not (isinstance(doc, dict) and isinstance(doc.get("model"), str)
+                and isinstance(doc.get("split"), str)):
             raise InputError(f"{path} lacks 'model'/'split' keys; not an evaluate output")
-        fragments.append(doc)
-    by_model: dict[str, dict[str, dict]] = {}
-    order: list[str] = []
-    for doc in fragments:
         if doc["model"] not in by_model:
             order.append(doc["model"])
-        by_model.setdefault(doc["model"], {})[doc["split"]] = doc
+        by_model.setdefault(doc["model"], {})[doc["split"]] = (path, doc)
     reports = []
     for model in order:
         parts = by_model[model]
@@ -499,8 +505,8 @@ def cmd_report(args) -> int:
         reports.append(
             ModelReport(
                 model=model,
-                validation=split_scores_from_dict(parts["validation"]),
-                test=split_scores_from_dict(parts["test"]),
+                validation=_fragment_scores(*parts["validation"]),
+                test=_fragment_scores(*parts["test"]),
             )
         )
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -586,8 +592,14 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InputError, FileNotFoundError) as err:
+    except InputError as err:
         print(f"input error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as err:  # a path that is missing, a directory, unreadable, ...
+        if err.filename is None:
+            print(f"input error: {err}", file=sys.stderr)
+        else:
+            print(f"input error: {err.filename}: {err.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except IpsdmError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Label
-from .errors import EmptyMatrix, LengthMismatch, NonFiniteInput
+from .errors import EmptyMatrix, InputError, LengthMismatch, NonFiniteInput
 
 NUM_CLASSES = 3
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
@@ -200,8 +200,20 @@ class ModelReport:
 
 def split_scores_from_dict(doc: dict) -> SplitScores:
     """Rebuild a SplitScores from its as_dict() form; derived metrics are
-    recomputed from the stored confusion matrix."""
-    matrix = ConfusionMatrix(tuple(tuple(int(c) for c in row) for row in doc["confusion_matrix"]))
+    recomputed from the stored confusion matrix. Raises InputError when the
+    matrix is missing or not 3x3 non-negative integer counts."""
+    rows = doc.get("confusion_matrix")
+    if not (
+        isinstance(rows, list)
+        and len(rows) == NUM_CLASSES
+        and all(isinstance(row, list) and len(row) == NUM_CLASSES for row in rows)
+        and all(type(c) is int and c >= 0 for row in rows for c in row)
+    ):
+        raise InputError(
+            f"'confusion_matrix' must be a {NUM_CLASSES}x{NUM_CLASSES} list of "
+            "non-negative integer counts"
+        )
+    matrix = ConfusionMatrix(tuple(tuple(row) for row in rows))
     return SplitScores(split=doc["split"], matrix=matrix, scores=score(matrix))
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf
 
 from .blas import single_thread
 from .corpus import Label
@@ -143,10 +142,20 @@ def init(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParameters:
 
 
 def gelu(u: np.ndarray) -> np.ndarray:
+    """Exact GELU, u * Phi(u), through scipy's erf.
+
+    scipy.special is imported here, at its point of use, so that only the
+    stages that run the model (train, evaluate, classify) pay for loading it.
+    """
+    from scipy.special import erf
+
     return 0.5 * u * (1.0 + erf(u / math.sqrt(2.0)))
 
 
 def gelu_grad(u: np.ndarray) -> np.ndarray:
+    """d gelu / du; imports erf at its point of use, like gelu."""
+    from scipy.special import erf
+
     return 0.5 * (1.0 + erf(u / math.sqrt(2.0))) + u * np.exp(-0.5 * u * u) / math.sqrt(
         2.0 * math.pi
     )

@@ -3,6 +3,10 @@
 import csv
 import json
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from ipsdm.corpus import read_split_csv
 from ipsdm.model import ModelConfig, init
 from ipsdm.tokenizer import load_vocab, save_vocab, train_vocab, vocab_sha256
 from ipsdm.trainer import Checkpoint, save_checkpoint
+import ipsdm
 
 from conftest import make_separable_corpus, rewrite_checkpoint
 from ipsdm.corpus import Label
@@ -408,6 +413,39 @@ def test_report_rejects_malformed_fragments(pipeline, tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+_VALID_FRAGMENT = {"model": "m", "confusion_matrix": [[2, 0, 0], [0, 2, 0], [1, 0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        (b"\xff\xfe{}", "not a valid report fragment"),
+        (json.dumps(["model", "split"]).encode(), "lacks 'model'/'split' keys"),
+        (json.dumps({"model": "m", "split": "test"}).encode(), "confusion_matrix"),
+        (json.dumps({"model": "m", "split": "test",
+                     "confusion_matrix": [[1, 0], [0, 1]]}).encode(), "3x3"),
+        (json.dumps({"model": "m", "split": "test",
+                     "confusion_matrix": [[1, 0, 0], [0, 1.5, 0], [0, 0, 1]]}).encode(),
+         "integer"),
+    ],
+    ids=["not-utf8", "json-list", "no-matrix", "2x2-matrix", "fractional-cell"],
+)
+def test_report_rejects_each_malformed_fragment_naming_it(tmp_path, capsys, payload, named):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output_dir": str(tmp_path / "out")}), encoding="utf-8")
+    validation = tmp_path / "validation.json"
+    validation.write_text(json.dumps({**_VALID_FRAGMENT, "split": "validation"}), encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+
+    assert main(["report", "--config", str(config), str(validation), str(bad)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"input error: {bad}" in err
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_train_divergence_exits_with_numeric_code(tmp_path, capsys):
     """The unmodified update rule must surface as exit 3 with the last good
     parameters saved for inspection, not as a traceback."""
@@ -595,6 +633,31 @@ def test_missing_config_file_exits_input(tmp_path, capsys):
     assert "absent.json" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_exits_input(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff{}")
+    assert main(["prepare", "--config", str(config)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"config file {config} is not valid JSON" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["report", "classify", "prepare"])
+def test_directory_in_place_of_a_file_exits_input(tmp_path, capsys, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output_dir": str(tmp_path / "out")}), encoding="utf-8")
+    argv = {
+        "report": ["report", str(folder), "--config", str(config)],
+        "classify": ["classify", "--checkpoint", str(folder), "--vocab", "x", "--text", "hi"],
+        "prepare": ["prepare", "--config", str(folder)],
+    }[command]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"input error: {folder}: Is a directory" in err
+    assert "Traceback" not in err
+
 def test_config_with_unknown_keys_is_rejected(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"daat": {}}), encoding="utf-8")
@@ -656,3 +719,82 @@ def test_malformed_config_value_exits_input_before_writing(
     assert "input error" in err
     assert named in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# start-up imports
+
+# Runs one stage in a fresh interpreter and prints the scipy modules loaded
+# after `import ipsdm` and after the stage, as the last line of stdout.
+_IMPORT_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+import ipsdm
+after_import = scipy_modules()
+from ipsdm.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "import": after_import, "stage": scipy_modules()}))
+"""
+
+
+@pytest.fixture(scope="module")
+def startup_dirs(tmp_path_factory):
+    """Prepared, tokenized (and, when balanced, balanced) output directories
+    for a class-balanced and an imbalanced corpus, plus report fragments."""
+    root = tmp_path_factory.mktemp("startup")
+    dirs = {}
+    for name, counts, seed in (
+        ("balanced", {Label.ham: 10, Label.spam: 10, Label.phishing: 10}, 9),
+        ("imbalanced", {Label.ham: 30, Label.spam: 20, Label.phishing: 10}, 7),
+    ):
+        source = _write_source_csv(root / f"{name}.csv", make_separable_corpus(counts, seed=seed))
+        config = _write_config(
+            root / f"{name}.json", [source], root / name,
+            training={**SMALL_TRAINING, "num_epochs": 1},
+        )
+        for stage in ("prepare", "tokenizer-train"):
+            assert main([stage, "--config", str(config)]) == EXIT_OK
+        dirs[name] = (config, root / name)
+    config, out = dirs["balanced"]
+    assert main(["balance", "--config", str(config)]) == EXIT_OK
+    for split in ("validation", "test"):
+        (out / f"{split}.json").write_text(
+            json.dumps({**_VALID_FRAGMENT, "split": split}), encoding="utf-8")
+    return dirs
+
+
+@pytest.mark.parametrize(
+    "corpus, stage, loads",
+    [
+        ("balanced", ["prepare"], set()),
+        ("balanced", ["tokenizer-train"], set()),
+        ("balanced", ["report", "validation.json", "test.json"], set()),
+        ("balanced", ["balance"], set()),
+        ("imbalanced", ["balance"], {"scipy.sparse"}),
+        ("balanced", ["train"], {"scipy.special"}),
+    ],
+    ids=["prepare", "tokenizer-train", "report", "balance-noop", "balance", "train"],
+)
+def test_each_stage_imports_scipy_only_where_it_computes(startup_dirs, corpus, stage, loads):
+    """scipy is imported at its point of use: stages that neither plan ADASYN
+    nor run the model start without it. The stages that do use it show that
+    the probe sees an import."""
+    config, out = startup_dirs[corpus]
+    command, *fragments = stage
+    argv = [command, *(str(out / f) for f in fragments), "--config", str(config)]
+    env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+    src = str(Path(ipsdm.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["code"] == EXIT_OK, proc.stderr
+    assert probe["import"] == []
+    loaded = set(probe["stage"])
+    assert {"scipy.sparse", "scipy.special"} & loaded == loads
+    if not loads:
+        assert not loaded
