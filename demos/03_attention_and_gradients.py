@@ -59,7 +59,6 @@ def main():
     tampered = [
         TokenSequence(
             ids=ids,
-            attention_mask=list(batch[0].attention_mask),
             true_length=batch[0].true_length,
         ),
         batch[1],

@@ -57,6 +57,7 @@ from .metrics import (
 from .model import ModelConfig, predict
 from .tokenizer import check_vocab_size, load_vocab, save_vocab, train_vocab, vocab_sha256
 from .trainer import (
+    OVERFIT_GAP_THRESHOLD,
     TrainingConfig,
     evaluate as evaluate_checkpoint,
     load_checkpoint,
@@ -484,7 +485,6 @@ def _fragment_scores(path, doc: dict) -> SplitScores:
 def cmd_report(args) -> int:
     config = _config_from_args(args)
     by_model: dict[str, dict[str, tuple[str, dict]]] = {}
-    order: list[str] = []
     for path in args.fragments:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -493,12 +493,15 @@ def cmd_report(args) -> int:
         if not (isinstance(doc, dict) and isinstance(doc.get("model"), str)
                 and isinstance(doc.get("split"), str)):
             raise InputError(f"{path} lacks 'model'/'split' keys; not an evaluate output")
-        if doc["model"] not in by_model:
-            order.append(doc["model"])
-        by_model.setdefault(doc["model"], {})[doc["split"]] = (path, doc)
+        if doc["split"] not in ("validation", "test"):
+            raise InputError(f"{path} has split {doc['split']!r}, not validation or test")
+        parts = by_model.setdefault(doc["model"], {})
+        if doc["split"] in parts:
+            raise InputError(f"{path} repeats the {doc['split']} fragment of model "
+                             f"{doc['model']!r} from {parts[doc['split']][0]}")
+        parts[doc["split"]] = (path, doc)
     reports = []
-    for model in order:
-        parts = by_model[model]
+    for model, parts in by_model.items():
         missing = {"validation", "test"} - set(parts)
         if missing:
             raise InputError(f"model {model!r} is missing {sorted(missing)} fragment(s)")
@@ -518,7 +521,7 @@ def cmd_report(args) -> int:
         written.append(config.path("report.svg"))
     for report in reports:
         gap = report.overfit_gap
-        marker = " [WARN: gap > 0.05]" if abs(gap) > 0.05 else ""
+        marker = f" [WARN: gap > {OVERFIT_GAP_THRESHOLD}]" if abs(gap) > OVERFIT_GAP_THRESHOLD else ""
         print(
             f"{report.model}: val_accuracy={report.validation.scores.accuracy:.4f} "
             f"test_accuracy={report.test.scores.accuracy:.4f} gap={gap:+.4f}{marker}"

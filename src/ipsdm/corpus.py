@@ -6,8 +6,8 @@ back to CSV with an added "split" column.
 """
 
 import csv
-import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -15,8 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateSplit, MalformedCsv, MissingColumn
-
-logger = logging.getLogger(__name__)
 
 FRACTION_TOLERANCE = 1e-9
 
@@ -131,6 +129,34 @@ def _check_quote_balance(path: Path) -> None:
         raise MalformedCsv(f"unbalanced quotes in {path}")
 
 
+def _csv_rows(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """Yield (row number from 0, row dict) for each csv.DictReader data row.
+
+    The file must be UTF-8 with balanced quotes and a header holding every
+    name in columns, else MalformedCsv or MissingColumn; a csv.Error becomes
+    MalformedCsv naming the header or the data row it stopped at.
+    """
+    _check_quote_balance(path)
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        try:
+            header = reader.fieldnames
+        except csv.Error as exc:
+            raise MalformedCsv(f"{path} header: {exc}") from None
+        if header is None:
+            raise MissingColumn(f"{path} has no header row")
+        for column in columns:
+            if column not in header:
+                raise MissingColumn(f"{path} header lacks column {column!r}")
+        row_number = 0
+        try:
+            for row in reader:
+                yield row_number, row
+                row_number += 1
+        except csv.Error as exc:
+            raise MalformedCsv(f"{path} row {row_number}: {exc}") from None
+
+
 def load_csv(
     path,
     text_column: str = "Email",
@@ -146,52 +172,30 @@ def load_csv(
     """
     path = Path(path)
     mapping = _normalize_label_map(label_map or DEFAULT_LABEL_MAP)
-    _check_quote_balance(path)
     if source_id is None:
         source_id = path.stem
 
     samples: list[LabeledEmail] = []
     stats = LoadStats()
-    with open(path, encoding="utf-8", newline="") as handle:
-        try:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames
-            if header is None:
-                raise MissingColumn(f"{path} has no header row")
-            for column in (text_column, label_column):
-                if column not in header:
-                    raise MissingColumn(f"{path} header lacks column {column!r}")
-            for row_index, row in enumerate(reader):
-                raw_label = (row.get(label_column) or "").strip().lower()
-                text = (row.get(text_column) or "").strip()
-                if raw_label not in mapping:
-                    stats.unknown_label += 1
-                    stats.unknown_label_rows.append((row_index, raw_label))
-                    continue
-                if not text:
-                    stats.empty_text += 1
-                    continue
-                samples.append(
-                    LabeledEmail(
-                        text=text,
-                        label=mapping[raw_label],
-                        source_id=source_id,
-                        row_index=row_index,
-                    )
-                )
-                stats.loaded += 1
-        except csv.Error as exc:
-            raise MalformedCsv(f"{path}: {exc}") from exc
-
-    if stats.unknown_label:
-        logger.warning(
-            "%s: skipped %d rows with unmapped labels (first: %s)",
-            path,
-            stats.unknown_label,
-            stats.unknown_label_rows[:5],
+    for row_index, row in _csv_rows(path, (text_column, label_column)):
+        raw_label = (row.get(label_column) or "").strip().lower()
+        text = (row.get(text_column) or "").strip()
+        if raw_label not in mapping:
+            stats.unknown_label += 1
+            stats.unknown_label_rows.append((row_index, raw_label))
+            continue
+        if not text:
+            stats.empty_text += 1
+            continue
+        samples.append(
+            LabeledEmail(
+                text=text,
+                label=mapping[raw_label],
+                source_id=source_id,
+                row_index=row_index,
+            )
         )
-    if stats.empty_text:
-        logger.warning("%s: skipped %d rows with empty text", path, stats.empty_text)
+        stats.loaded += 1
     return Corpus.from_samples(samples), stats
 
 
@@ -293,37 +297,25 @@ def save_split_csv(corpus: Corpus, path, split_name: str) -> None:
 def read_split_csv(path) -> Corpus:
     """Read back a CSV written by save_split_csv, restoring sample identity."""
     path = Path(path)
-    _check_quote_balance(path)
     samples: list[LabeledEmail] = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
+    for row_number, row in _csv_rows(path, ("text", "label", "source_id", "row_index")):
+        if None in row.values():  # csv.DictReader's value for a field the row lacks
+            raise MalformedCsv(f"{path} row {row_number}: fewer fields than the header")
+        label = row["label"].strip().lower()
+        if label not in LABEL_NAMES:
+            raise MalformedCsv(f"{path} row {row_number}: unknown label {row['label']!r}")
         try:
-            header = reader.fieldnames or []
-        except csv.Error as exc:
-            raise MalformedCsv(f"{path} header: {exc}") from None
-        for column in ("text", "label", "source_id", "row_index"):
-            if column not in header:
-                raise MissingColumn(f"{path} header lacks column {column!r}")
-        try:
-            for row_number, row in enumerate(reader):
-                label = (row["label"] or "").strip().lower()
-                if label not in LABEL_NAMES:
-                    raise MalformedCsv(f"{path} row {row_number}: unknown label {row['label']!r}")
-                try:
-                    row_index = int(row["row_index"])
-                except (TypeError, ValueError):
-                    raise MalformedCsv(
-                        f"{path} row {row_number}: row_index {row['row_index']!r} is not an integer"
-                    ) from None
-                samples.append(
-                    LabeledEmail(
-                        text=row["text"],
-                        label=Label[label],
-                        source_id=row["source_id"],
-                        row_index=row_index,
-                    )
-                )
-        except csv.Error as exc:
-            # Every row read so far became a sample, so the failing row is next.
-            raise MalformedCsv(f"{path} row {len(samples)}: {exc}") from None
+            row_index = int(row["row_index"])
+        except (TypeError, ValueError):
+            raise MalformedCsv(
+                f"{path} row {row_number}: row_index {row['row_index']!r} is not an integer"
+            ) from None
+        samples.append(
+            LabeledEmail(
+                text=row["text"],
+                label=Label[label],
+                source_id=row["source_id"],
+                row_index=row_index,
+            )
+        )
     return Corpus.from_samples(samples)

@@ -89,7 +89,6 @@ class ForwardCache:
 
     ids: np.ndarray
     key_mask: np.ndarray
-    x_in: np.ndarray
     layers: list[dict] = field(default_factory=list)
     pooled: Optional[np.ndarray] = None
     params_version: int = -1
@@ -224,12 +223,6 @@ def _dropout_mask(rng, shape, rate, dtype, t=None):
     return (rng.random(shape)[:, :t] >= rate).astype(dtype) / keep
 
 
-def batch_arrays(batch: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.array([seq.ids for seq in batch], dtype=np.int64)
-    mask = np.array([seq.attention_mask for seq in batch], dtype=bool)
-    return ids, mask
-
-
 def forward(
     params: ModelParameters,
     batch: list[TokenSequence],
@@ -240,7 +233,8 @@ def forward(
 
     Every sequence must be max_len long; compute covers only positions up to
     the batch's longest true length T, so the cache holds (batch, T) ids and
-    key mask, and only the first T position-embedding rows are read.
+    key mask (True before each row's true_length), and only the first T
+    position-embedding rows are read.
 
     Dropout is applied only when training=True (and dropout_rate > 0), drawing
     masks from dropout_rng in a fixed order. Each mask is drawn for all
@@ -249,13 +243,15 @@ def forward(
     differs from it only by rounding.
     """
     config = params.config
-    ids, key_mask = batch_arrays(batch)
-    if ids.shape[1] != config.max_len:
-        raise SequenceLengthMismatch(
-            f"batch has length {ids.shape[1]}, model expects {config.max_len}"
-        )
-    t = max(seq.true_length for seq in batch)
-    ids, key_mask = ids[:, :t], key_mask[:, :t]
+    for seq in batch:
+        if len(seq.ids) != config.max_len:
+            raise SequenceLengthMismatch(
+                f"a sequence has length {len(seq.ids)}, model expects {config.max_len}"
+            )
+    lengths = np.array([seq.true_length for seq in batch])
+    t = int(lengths.max())
+    ids = np.array([seq.ids[:t] for seq in batch], dtype=np.int64)
+    key_mask = np.arange(t) < lengths[:, None]
     tensors = params.tensors
     dtype = tensors["token_embedding"].dtype
     use_dropout = training and config.dropout_rate > 0.0
@@ -264,12 +260,7 @@ def forward(
     padded_shape = (len(batch), config.max_len, config.d_model)
 
     x = tensors["token_embedding"][ids] + tensors["position_embedding"][None, :t, :]
-    cache = ForwardCache(
-        ids=ids,
-        key_mask=key_mask,
-        x_in=x,
-        params_version=params.version,
-    )
+    cache = ForwardCache(ids=ids, key_mask=key_mask, params_version=params.version)
 
     for i in range(config.num_layers):
         prefix = f"layers.{i}"
@@ -341,7 +332,7 @@ def backward(
     grads["classifier.bias"] += dlogits.sum(axis=0)
     d_pooled = dlogits @ tensors["classifier.weight"].T
 
-    dx = np.zeros_like(cache.x_in)
+    dx = np.zeros_like(cache.layers[0]["x"])
     if config.pooling == "first_token":
         dx[:, 0, :] = d_pooled
     else:

@@ -71,10 +71,10 @@ class Vocabulary:
 
 @dataclass
 class TokenSequence:
-    """Fixed-length id sequence: [cls] content [sep] [pad...]."""
+    """Fixed-length id sequence: [cls] content [sep] [pad...]. The first
+    true_length ids are real; the model derives its key mask from that."""
 
     ids: list[int]
-    attention_mask: list[int]
     true_length: int
 
     @property
@@ -263,8 +263,7 @@ def encode(vocab: Vocabulary, text: str, max_len: int = 128) -> TokenSequence:
     ids = [CLS_ID] + content + [SEP_ID]
     true_length = len(ids)
     ids.extend([PAD_ID] * (max_len - true_length))
-    mask = [1] * true_length + [0] * (max_len - true_length)
-    return TokenSequence(ids=ids, attention_mask=mask, true_length=true_length)
+    return TokenSequence(ids=ids, true_length=true_length)
 
 
 def decode(vocab: Vocabulary, ids: list[int]) -> str:

@@ -61,6 +61,8 @@ log = logging.getLogger(__name__)
 CHECKPOINT_MAGIC = b"IPSD"
 CHECKPOINT_FORMAT_VERSION = 1
 EARLY_STOP_METRICS = ("val_accuracy", "val_loss")
+# overfit_gap and `ipsdm report` flag a validation-test accuracy gap above this.
+OVERFIT_GAP_THRESHOLD = 0.05
 _SHUFFLE_TAG = 0
 _DROPOUT_TAG = 1
 
@@ -401,7 +403,7 @@ class GapRecord:
 
 
 def overfit_gap(
-    history: list[EpochRecord], test_report: SplitScores, threshold: float = 0.05
+    history: list[EpochRecord], test_report: SplitScores, threshold: float = OVERFIT_GAP_THRESHOLD
 ) -> GapRecord:
     """|best validation accuracy - test accuracy|, warning when it exceeds
     the threshold."""
@@ -469,7 +471,7 @@ def load_checkpoint(path) -> Checkpoint:
     writes for that config raises CorruptFile; another format version raises
     VersionMismatch."""
     data = Path(path).read_bytes()
-    if len(data) < 16 or data[:4] != CHECKPOINT_MAGIC:
+    if data[:4] != CHECKPOINT_MAGIC:
         raise CorruptFile(f"{path} is not a checkpoint file (bad magic)")
     if len(data) < 12 + 4:
         raise CorruptFile(f"{path} is truncated")

@@ -118,6 +118,24 @@ def test_prepare_writes_splits_and_manifest(tmp_path):
     assert entry["skipped_empty_text"] == 0
 
 
+def test_prepare_reports_each_skipped_row_once(tmp_path, caplog):
+    corpus = make_separable_corpus({Label.ham: 6, Label.spam: 6}, seed=5)
+    source = _write_source_csv(tmp_path / "mail.csv", corpus)
+    with open(source, "a", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([["a banana text", "banana"], ["   ", "ham"]])
+    config = _write_config(tmp_path / "config.json", [source], tmp_path / "out")
+
+    with caplog.at_level("INFO", logger="ipsdm"):
+        assert main(["prepare", "--config", str(config)]) == EXIT_OK
+    messages = [record.getMessage() for record in caplog.records]
+    assert [m for m in messages if "banana" in m] == [
+        f"row 12 of {source}: unknown label 'banana'"
+    ]
+    assert [m for m in messages if "empty" in m] == [
+        f"loaded 12 samples from {source} (skipped: 1 unknown label, 1 empty)"
+    ]
+
+
 def test_prepare_rerun_is_byte_identical(tmp_path):
     corpus = make_separable_corpus({Label.ham: 10, Label.spam: 8}, seed=4)
     source = _write_source_csv(tmp_path / "mail.csv", corpus)
@@ -443,6 +461,34 @@ def test_report_rejects_each_malformed_fragment_naming_it(tmp_path, capsys, payl
     assert f"input error: {bad}" in err
     assert named in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _write_fragments(tmp_path, splits):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output_dir": str(tmp_path / "out")}), encoding="utf-8")
+    paths = []
+    for i, split in enumerate(splits):
+        path = tmp_path / f"fragment{i}.json"
+        path.write_text(json.dumps({**_VALID_FRAGMENT, "split": split}), encoding="utf-8")
+        paths.append(str(path))
+    return config, paths
+
+
+def test_report_rejects_a_fragment_of_another_split(tmp_path, capsys):
+    config, paths = _write_fragments(tmp_path, ["validation", "test", "training"])
+    assert main(["report", "--config", str(config), *paths]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"input error: {paths[2]} has split 'training', not validation or test" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_report_rejects_a_repeated_model_and_split(tmp_path, capsys):
+    config, paths = _write_fragments(tmp_path, ["validation", "test", "validation"])
+    assert main(["report", "--config", str(config), *paths]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"input error: {paths[2]} repeats the validation fragment of model 'm'" in err
+    assert paths[0] in err
     assert not (tmp_path / "out" / "report.json").exists()
 
 

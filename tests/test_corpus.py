@@ -166,6 +166,15 @@ def test_load_csv_no_header(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_oversized_field_names_its_row(tmp_path):
+    path = _write_csv(
+        tmp_path / "big_src.csv",
+        [("short", "ham"), ("x" * (csv.field_size_limit() + 1), "spam")],
+    )
+    with pytest.raises(MalformedCsv, match="big_src.csv row 1: field larger than field limit"):
+        load_csv(path)
+
+
 def test_load_csv_unbalanced_quotes(tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text('Email,Category\n"unterminated field,ham\n', encoding="utf-8")
@@ -352,6 +361,23 @@ def test_read_split_csv_rejects_oversized_field(tmp_path):
     ]
     save_split_csv(Corpus.from_samples(samples), path, split_name="train")
     with pytest.raises(MalformedCsv, match="train.csv row 1: field larger than field limit"):
+        read_split_csv(path)
+
+
+def test_read_split_csv_rejects_a_short_row(tmp_path):
+    path = tmp_path / "train.csv"
+    path.write_text(
+        "row_index,label,source_id,text,split\n0,ham,src,hi,train\n1,ham,src\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedCsv, match="train.csv row 1: fewer fields than the header"):
+        read_split_csv(path)
+
+
+def test_read_split_csv_without_header(tmp_path):
+    path = tmp_path / "train.csv"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(MissingColumn, match="train.csv has no header row"):
         read_split_csv(path)
 
 

@@ -242,7 +242,6 @@ def test_forward_padding_invariance_is_bit_exact(pooling):
         tampered_ids[pos] = 4 + (pos * 37) % 256
     tampered = type(seq)(
         ids=tampered_ids,
-        attention_mask=list(seq.attention_mask),
         true_length=seq.true_length,
     )
     clean_logits, _ = forward(params, [seq])

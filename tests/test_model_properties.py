@@ -5,7 +5,8 @@ is the same batch with one extra sequence of true length max_len appended,
 which forces T = max_len (the pre-trimming compute), and a zero upstream
 gradient for that extra row, so it adds nothing to any gradient. Logits and
 every gradient must agree to rounding; `cache.ids` must have T columns, so
-that a silent return to full-length compute fails here.
+that a silent return to full-length compute fails here, and `cache.key_mask`
+must mark exactly each row's first true_length positions.
 """
 
 import numpy as np
@@ -25,8 +26,7 @@ lengths = st.sampled_from([2, 3, 5, 7, MAX_LEN]) | st.integers(2, MAX_LEN)
 def _sequence(rng, true_length):
     content = [int(i) for i in rng.integers(4, VOCAB, size=true_length - 2)]
     ids = [CLS_ID, *content, SEP_ID] + [PAD_ID] * (MAX_LEN - true_length)
-    mask = [1] * true_length + [0] * (MAX_LEN - true_length)
-    return TokenSequence(ids=ids, attention_mask=mask, true_length=true_length)
+    return TokenSequence(ids=ids, true_length=true_length)
 
 
 def _params(config, seed, dtype):
@@ -70,6 +70,8 @@ def test_trimmed_pass_matches_full_length_pass(true_lengths, pooling, dtype, see
 
     logits, cache = forward(params, batch, training=False)
     assert cache.ids.shape == (len(batch), max(true_lengths))
+    t = max(true_lengths)
+    assert np.array_equal(cache.key_mask, np.arange(t) < np.array(true_lengths)[:, None])
     grads = backward(params, cache, dlogits)
 
     full_logits, full_cache = forward(params, [*batch, full_length], training=False)

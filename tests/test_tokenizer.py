@@ -197,7 +197,6 @@ def test_budget_caps_merge_count():
 def test_encode_empty_string(base_vocab):
     seq = encode(base_vocab, "", max_len=8)
     assert seq.ids == [CLS_ID, SEP_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
-    assert seq.attention_mask == [1, 1, 0, 0, 0, 0, 0, 0]
     assert seq.true_length == 2
     assert seq.content_ids == []
 
@@ -211,22 +210,18 @@ def test_encode_plain_bytes(base_vocab):
 
 def test_encode_framing_invariants(trained):
     """First id is always cls, the id at true_length-1 is always sep, and
-    the attention mask is exactly the ones-prefix of length true_length."""
+    every id past true_length is padding."""
     for text in ROUND_TRIP_TEXTS + TRAIN_LINES:
         seq = encode(trained, text, max_len=64)
         assert len(seq.ids) == 64
-        assert len(seq.attention_mask) == 64
         assert seq.ids[0] == CLS_ID
         assert seq.ids[seq.true_length - 1] == SEP_ID
-        assert sum(seq.attention_mask) == seq.true_length
-        assert seq.attention_mask == [1] * seq.true_length + [0] * (64 - seq.true_length)
         assert all(i == PAD_ID for i in seq.ids[seq.true_length :])
 
 
 def test_encode_truncates_to_max_len(base_vocab):
     seq = encode(base_vocab, "x" * 100, max_len=16)
     assert seq.true_length == 16
-    assert seq.attention_mask == [1] * 16
     assert seq.ids[-1] == SEP_ID
     assert len(seq.content_ids) == 14
 

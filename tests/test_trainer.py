@@ -501,6 +501,15 @@ def test_checkpoint_corruption_detection(memorized, tmp_path):
     with pytest.raises(CorruptFile):
         load_checkpoint(not_mine)
 
+    for size in (4, 10, 15):
+        stub = tmp_path / f"stub{size}.ckpt"
+        stub.write_bytes(bytes(data[:size]))
+        with pytest.raises(CorruptFile, match="truncated"):
+            load_checkpoint(stub)
+    not_mine.write_bytes(b"IPS")
+    with pytest.raises(CorruptFile, match="bad magic"):
+        load_checkpoint(not_mine)
+
     future = tmp_path / "future.ckpt"
     bumped = bytearray(data)
     bumped[4:8] = struct.pack("<I", 99)
