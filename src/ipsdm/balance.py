@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Corpus, Label, LabeledEmail
 from .errors import NothingToBalance, TooFewSamples
-from .tokenizer import Vocabulary, decode, encode
+from .tokenizer import DEFAULT_MAX_LEN, Vocabulary, decode, encode
 
 DEFAULT_K = 5
 DEFAULT_BETA = 1.0
@@ -301,7 +301,7 @@ def balance_corpus(
     k: int = DEFAULT_K,
     beta: float = DEFAULT_BETA,
     seed: int = 0,
-    max_len: int = 128,
+    max_len: int = DEFAULT_MAX_LEN,
 ) -> tuple[Corpus, AdasynPlan]:
     """End-to-end: encode each sample once, vectorize, plan, synthesize. An
     already-balanced corpus is returned unchanged alongside its empty plan."""
@@ -314,11 +314,9 @@ def balance_corpus(
 
 def balance_report(before: Corpus, after: Corpus) -> dict:
     """Per-class counts before and after balancing."""
+    counts_before, counts_after = before.label_counts(), after.label_counts()
     return {
-        "before": {label.name: before.class_counts.get(label, 0) for label in Label},
-        "after": {label.name: after.class_counts.get(label, 0) for label in Label},
-        "added": {
-            label.name: after.class_counts.get(label, 0) - before.class_counts.get(label, 0)
-            for label in Label
-        },
+        "before": counts_before,
+        "after": counts_after,
+        "added": {name: counts_after[name] - counts_before[name] for name in counts_before},
     }

@@ -29,7 +29,8 @@ from typing import get_args, get_type_hints
 from . import __version__
 from .balance import DEFAULT_BETA, DEFAULT_K, balance_corpus, balance_report, check_params
 from .corpus import (
-    Corpus,
+    DEFAULT_LABEL_COLUMN,
+    DEFAULT_TEXT_COLUMN,
     Label,
     SplitSpec,
     load_csv,
@@ -55,10 +56,13 @@ from .metrics import (
     split_scores_from_dict,
 )
 from .model import ModelConfig, predict
-from .tokenizer import check_vocab_size, load_vocab, save_vocab, train_vocab, vocab_sha256
+from .tokenizer import (
+    DEFAULT_MAX_LEN, check_vocab_size, load_vocab, save_vocab, train_vocab, vocab_sha256,
+)
 from .trainer import (
     OVERFIT_GAP_THRESHOLD,
     TrainingConfig,
+    check_vocabulary,
     evaluate as evaluate_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -84,8 +88,8 @@ SPLIT_FILES = {"train": "train.csv", "validation": "val.csv", "test": "test.csv"
 @dataclass(frozen=True)
 class SourceConfig:
     path: str
-    text_column: str = "Email"
-    label_column: str = "Category"
+    text_column: str = DEFAULT_TEXT_COLUMN
+    label_column: str = DEFAULT_LABEL_COLUMN
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,9 @@ class PipelineConfig:
 
 
 # The architecture sizes ModelConfig has no default for: a desk-scale model.
-_MODEL_DEFAULTS = {"num_layers": 2, "num_heads": 4, "d_model": 128, "d_ff": 256, "max_len": 128}
+_MODEL_DEFAULTS = {
+    "num_layers": 2, "num_heads": 4, "d_model": 128, "d_ff": 256, "max_len": DEFAULT_MAX_LEN,
+}
 
 
 def _matches(value, kind) -> bool:
@@ -264,10 +270,6 @@ def _file_sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _class_counts(corpus: Corpus) -> dict[str, int]:
-    return {label.name: corpus.class_counts.get(label, 0) for label in Label}
-
-
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -317,11 +319,11 @@ def cmd_prepare(args) -> int:
         manifest_splits[name] = {
             "path": filename,
             "size": len(part),
-            "class_counts": _class_counts(part),
+            "class_counts": part.label_counts(),
         }
     manifest = {
         "total": len(full),
-        "class_counts": _class_counts(full),
+        "class_counts": full.label_counts(),
         "seed": config.split.seed,
         "stratified": config.split.stratified,
         "fractions": {
@@ -448,10 +450,7 @@ def cmd_classify(args) -> int:
     else:
         raise UsageError("classify needs --vocab (or --config to locate vocab.json)")
     vocab = load_vocab(vocab_path)
-    if vocab_sha256(vocab) != checkpoint.vocab_sha256:
-        raise InputError(
-            f"vocabulary {vocab_path} does not match the checkpoint's vocabulary"
-        )
+    check_vocabulary(checkpoint, vocab)
     params = checkpoint.model_parameters()
     if args.text is not None:
         texts = [args.text]

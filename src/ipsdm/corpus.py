@@ -17,6 +17,9 @@ import numpy as np
 from .errors import DegenerateSplit, MalformedCsv, MissingColumn
 
 FRACTION_TOLERANCE = 1e-9
+# Source CSV column names when a config or load_csv call names none.
+DEFAULT_TEXT_COLUMN = "Email"
+DEFAULT_LABEL_COLUMN = "Category"
 
 
 class Label(IntEnum):
@@ -60,6 +63,10 @@ class Corpus:
         for sample in samples:
             counts[sample.label] += 1
         return cls(samples=list(samples), class_counts=counts)
+
+    def label_counts(self) -> dict[str, int]:
+        """Samples per label name, every Label in order, absent ones as 0."""
+        return {label.name: self.class_counts.get(label, 0) for label in Label}
 
 
 @dataclass(frozen=True)
@@ -159,8 +166,8 @@ def _csv_rows(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, dict]
 
 def load_csv(
     path,
-    text_column: str = "Email",
-    label_column: str = "Category",
+    text_column: str = DEFAULT_TEXT_COLUMN,
+    label_column: str = DEFAULT_LABEL_COLUMN,
     label_map: dict | None = None,
     source_id: str | None = None,
 ) -> tuple[Corpus, LoadStats]:
@@ -228,42 +235,33 @@ def _floor_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
 def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
     """Partition a corpus into (train, val, test).
 
-    Membership is chosen by a seeded Fisher-Yates shuffle; each output keeps
-    its members in original corpus order, so identical inputs produce
-    byte-identical splits.
+    The corpus is cut into groups, one per label in Label order when
+    stratified, else the single group of all samples. Each group, in turn,
+    gets a seeded Fisher-Yates shuffle from one RNG stream (an empty group
+    draws nothing) and the floor rule (its remainder goes to train). Each
+    output keeps its members in original corpus order, so identical inputs
+    produce byte-identical splits.
     """
     spec.validate()
     n = len(corpus)
     if n == 0:
         raise DegenerateSplit("cannot split an empty corpus")
 
+    if spec.stratified:
+        groups = [[i for i, s in enumerate(corpus.samples) if s.label == label] for label in Label]
+    else:
+        groups = [range(n)]
     rng = np.random.default_rng(spec.seed)
     train_idx: list[int] = []
     val_idx: list[int] = []
     test_idx: list[int] = []
-
-    if spec.stratified:
-        # Per-class floor rule; per-class remainders go to train. Shuffles
-        # consume one RNG stream in label order to stay deterministic.
-        for label in Label:
-            class_positions = [
-                i for i, s in enumerate(corpus.samples) if s.label == label
-            ]
-            if not class_positions:
-                continue
-            order = _fisher_yates(len(class_positions), rng)
-            shuffled = [class_positions[i] for i in order]
-            train_c, val_c, test_c = _floor_sizes(len(shuffled), spec)
-            train_idx.extend(shuffled[:train_c])
-            val_idx.extend(shuffled[train_c : train_c + val_c])
-            test_idx.extend(shuffled[train_c + val_c :])
-            assert len(shuffled[train_c + val_c :]) == test_c
-    else:
-        order = _fisher_yates(n, rng)
-        train_n, val_n, _ = _floor_sizes(n, spec)
-        train_idx = order[:train_n]
-        val_idx = order[train_n : train_n + val_n]
-        test_idx = order[train_n + val_n :]
+    for group in groups:
+        shuffled = [group[i] for i in _fisher_yates(len(group), rng)]
+        train_c, val_c, test_c = _floor_sizes(len(shuffled), spec)
+        train_idx.extend(shuffled[:train_c])
+        val_idx.extend(shuffled[train_c : train_c + val_c])
+        test_idx.extend(shuffled[train_c + val_c :])
+        assert len(shuffled[train_c + val_c :]) == test_c
 
     if min(len(train_idx), len(val_idx), len(test_idx)) == 0:
         raise DegenerateSplit(

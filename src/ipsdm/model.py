@@ -45,10 +45,13 @@ class ModelConfig:
     pooling: str = "first_token"  # or "mean"
 
     def validate(self) -> None:
+        """Raise ValueError for a size below 1, or a max_len below 2: encode
+        needs room for [cls] and [sep]."""
         for name in ("num_layers", "num_heads", "d_model", "d_ff", "max_len"):
             value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            floor = 2 if name == "max_len" else 1
+            if type(value) is not int or value < floor:
+                raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
         if type(self.vocab_size) is not int:
             raise ValueError(f"vocab_size must be an integer, got {self.vocab_size!r}")
         if self.d_model % self.num_heads != 0:

@@ -26,6 +26,7 @@ BYTE_BASE = NUM_SPECIALS  # byte b has id BYTE_BASE + b
 FIRST_MERGE_ID = BYTE_BASE + 256
 
 MIN_PAIR_FREQUENCY = 2
+DEFAULT_MAX_LEN = 128  # the pipeline's encode length unless the config sets model.max_len
 
 _SPECIAL_IDS = {"cls_id": CLS_ID, "sep_id": SEP_ID, "pad_id": PAD_ID, "unk_id": UNK_ID}
 
@@ -254,7 +255,7 @@ def _apply_merges(vocab: Vocabulary, ids: list[int]) -> list[int]:
     return [token_id for token_id in ids if token_id != _NONE]
 
 
-def encode(vocab: Vocabulary, text: str, max_len: int = 128) -> TokenSequence:
+def encode(vocab: Vocabulary, text: str, max_len: int = DEFAULT_MAX_LEN) -> TokenSequence:
     """Encode text as [cls] + merged byte tokens (truncated to max_len-2) + [sep],
     padded to exactly max_len."""
     if max_len < 2:

@@ -112,16 +112,9 @@ class EpochRecord:
     val_loss: float
     val_accuracy: float
     learning_rate: float
-    wall_time: float = 0.0  # informational only; never persisted
 
     def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_accuracy": self.val_accuracy,
-            "learning_rate": self.learning_rate,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpochRecord":
@@ -136,7 +129,6 @@ class EpochRecord:
 
 @dataclass
 class Checkpoint:
-    format_version: int
     config: ModelConfig
     vocab_sha256: str
     tensors: dict[str, np.ndarray]
@@ -171,6 +163,21 @@ class Checkpoint:
             if name.startswith("opt.v.")
         }
         return OptimizerState(step=self.optimizer_step, m=m, v=v)
+
+
+def check_vocabulary(checkpoint: Checkpoint, vocab: Vocabulary) -> None:
+    """Raise VocabularyMismatch unless vocab has the checkpoint's vocab_sha256
+    and its model's vocab_size, so no id overruns the token embedding. Resume,
+    evaluate and classify all pair a checkpoint with a vocabulary here."""
+    if vocab_sha256(vocab) != checkpoint.vocab_sha256:
+        raise VocabularyMismatch(
+            "vocabulary does not match the checkpoint's: it was trained with another"
+        )
+    if vocab.size != checkpoint.config.vocab_size:
+        raise VocabularyMismatch(
+            f"vocabulary does not match the checkpoint's: {vocab.size} tokens, "
+            f"the model has {checkpoint.config.vocab_size}"
+        )
 
 
 def make_batches(
@@ -259,10 +266,7 @@ def train(
     total_steps = steps_per_epoch * config.num_epochs
 
     if resume_from is not None:
-        if resume_from.vocab_sha256 != vhash:
-            raise VocabularyMismatch(
-                "resume checkpoint was trained with a different vocabulary"
-            )
+        check_vocabulary(resume_from, vocab)
         if not resume_from.resumable:
             raise ValueError("checkpoint is final; only epoch-boundary checkpoints resume")
         params = resume_from.model_parameters()
@@ -293,7 +297,6 @@ def train(
         else:
             tensors = {k: v.copy() for k, v in chosen_best.tensors.items()}
         return Checkpoint(
-            format_version=CHECKPOINT_FORMAT_VERSION,
             config=config.model,
             vocab_sha256=vhash,
             tensors=tensors,
@@ -346,13 +349,12 @@ def train(
             val_loss=val_loss,
             val_accuracy=val_accuracy,
             learning_rate=epoch_lr,
-            wall_time=time.perf_counter() - started,
         )
         history.append(record)
         log.info(
             "epoch %d/%d: train_loss=%.4f val_loss=%.4f val_accuracy=%.4f (%.1fs)",
             epoch, config.num_epochs, record.train_loss, record.val_loss,
-            record.val_accuracy, record.wall_time,
+            record.val_accuracy, time.perf_counter() - started,
         )
 
         value = _metric_value(record, metric_name)
@@ -377,15 +379,12 @@ def evaluate(
     split: Corpus,
     vocab: Vocabulary,
     split_name: str = "validation",
-    batch_size: int = 64,
+    batch_size: int = TrainingConfig.val_batch_size,
 ) -> SplitScores:
     """Deterministic scoring of a split with a checkpoint's parameters."""
     if len(split) == 0:
         raise EmptySplit(f"{split_name} split is empty")
-    if vocab_sha256(vocab) != checkpoint.vocab_sha256:
-        raise VocabularyMismatch(
-            "checkpoint was trained with a different vocabulary than supplied"
-        )
+    check_vocabulary(checkpoint, vocab)
     params = checkpoint.model_parameters()
     sequences, labels = _encode_split(split, vocab, checkpoint.config.max_len)
     _, predictions = _eval_pass(params, sequences, labels, batch_size)
@@ -444,7 +443,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     head_bytes = _canonical_json(header)
     parts = [
         CHECKPOINT_MAGIC,
-        struct.pack("<I", checkpoint.format_version),
+        struct.pack("<I", CHECKPOINT_FORMAT_VERSION),
         struct.pack("<I", len(head_bytes)),
         head_bytes,
     ]
@@ -510,7 +509,6 @@ def load_checkpoint(path) -> Checkpoint:
     except (KeyError, TypeError, ValueError) as err:
         raise CorruptFile(f"{path} has an unreadable history record: {err!r}") from None
     return Checkpoint(
-        format_version=version,
         config=config,
         vocab_sha256=header["vocab_sha256"],
         tensors=tensors,

@@ -492,6 +492,37 @@ def test_report_rejects_a_repeated_model_and_split(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+# Confusion matrices of 100 samples with 100, 99 and 90 correct.
+_ACCURACY_1_00 = [[34, 0, 0], [0, 33, 0], [0, 0, 33]]
+_ACCURACY_0_99 = [[33, 1, 0], [0, 33, 0], [0, 0, 33]]
+_ACCURACY_0_90 = [[30, 4, 0], [0, 30, 3], [3, 0, 30]]
+
+
+@pytest.mark.parametrize(
+    "validation, test, printed, warned",
+    [
+        (_ACCURACY_1_00, _ACCURACY_0_90, "gap=+0.1000", True),
+        (_ACCURACY_0_90, _ACCURACY_1_00, "gap=-0.1000", True),
+        (_ACCURACY_1_00, _ACCURACY_0_99, "gap=+0.0100", False),
+    ],
+)
+def test_report_warns_only_on_a_gap_above_the_threshold(
+    tmp_path, capsys, validation, test, printed, warned
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output_dir": str(tmp_path / "out")}), encoding="utf-8")
+    paths = []
+    for split, matrix in (("validation", validation), ("test", test)):
+        path = tmp_path / f"{split}.json"
+        path.write_text(json.dumps({"model": "m", "split": split, "confusion_matrix": matrix}),
+                        encoding="utf-8")
+        paths.append(str(path))
+    assert main(["report", "--config", str(config), *paths]) == EXIT_OK
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.startswith("m: ") and printed in line
+    assert line.endswith(" [WARN: gap > 0.05]") == warned
+
+
 def test_train_divergence_exits_with_numeric_code(tmp_path, capsys):
     """The unmodified update rule must surface as exit 3 with the last good
     parameters saved for inspection, not as a traceback."""
@@ -547,7 +578,6 @@ def zero_head_checkpoint(tmp_path):
     params.tensors["classifier.weight"][:] = 0.0
     params.tensors["classifier.bias"][:] = 0.0
     checkpoint = Checkpoint(
-        format_version=1,
         config=model_config,
         vocab_sha256=vocab_sha256(vocab),
         tensors=params.tensors,
@@ -641,6 +671,48 @@ def test_classify_rejects_a_checkpoint_whose_tensors_do_not_fit_its_config(
     ]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert f"{short} tensor position_embedding has shape [12, 16]" in err
+    assert "Traceback" not in err
+
+
+def test_classify_and_evaluate_reject_a_checkpoint_with_fewer_tokens_than_the_vocabulary(
+    pipeline, tmp_path, capsys
+):
+    """A forged vocab_size, with the token table cut to match and the hash
+    left alone, must not reach the embedding lookup."""
+    config, out = pipeline
+    forged = tmp_path / "small_vocab.ckpt"
+    rewrite_checkpoint(
+        out / "model.ckpt", forged,
+        edit_tensors=lambda t: t.update(token_embedding=t["token_embedding"][:200]),
+        edit_header=lambda h: h["model_config"].update(vocab_size=200),
+    )
+    vocab_size = load_vocab(out / "vocab.json").size
+    for argv in (
+        ["classify", "--checkpoint", str(forged), "--vocab", str(out / "vocab.json"),
+         "--text", "free cash prize"],
+        ["evaluate", "--config", str(config), "--checkpoint", str(forged),
+         "--out", str(tmp_path / "fragment.json")],
+    ):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"does not match the checkpoint's: {vocab_size} tokens, the model has 200" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "fragment.json").exists()
+
+
+def test_classify_rejects_a_checkpoint_with_max_len_one(zero_head_checkpoint, tmp_path, capsys):
+    ckpt_path, vocab_path = zero_head_checkpoint
+    forged = tmp_path / "max_len_1.ckpt"
+    rewrite_checkpoint(
+        ckpt_path, forged,
+        edit_tensors=lambda t: t.update(position_embedding=t["position_embedding"][:1]),
+        edit_header=lambda h: h["model_config"].update(max_len=1),
+    )
+    assert main([
+        "classify", "--checkpoint", str(forged), "--vocab", str(vocab_path), "--text", "hi",
+    ]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{forged} has an invalid model config: max_len must be an integer >= 2" in err
     assert "Traceback" not in err
 
 
@@ -764,6 +836,20 @@ def test_malformed_config_value_exits_input_before_writing(
     err = capsys.readouterr().err
     assert "input error" in err
     assert named in err
+    assert not out.exists()
+
+
+def test_max_len_below_two_exits_input_before_writing(tmp_path, capsys):
+    """encode needs room for [cls] and [sep]; prepare must refuse the config
+    rather than let balance or train fail on it later."""
+    corpus = make_separable_corpus({Label.ham: 6, Label.spam: 6}, seed=0)
+    source = _write_source_csv(tmp_path / "mail.csv", corpus)
+    out = tmp_path / "out"
+    config = _write_config(tmp_path / "config.json", [source], out,
+                           model={**SMALL_MODEL, "max_len": 1})
+    assert main(["prepare", "--config", str(config)]) == EXIT_INPUT
+    assert "config section 'model': max_len must be an integer >= 2, got 1" in (
+        capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -72,6 +72,12 @@ def test_config_validation():
     SMALL.validate()
 
 
+def test_config_max_len_leaves_room_for_cls_and_sep():
+    with pytest.raises(ValueError, match="max_len must be an integer >= 2, got 1"):
+        ModelConfig(2, 2, 8, 16, 1, 280).validate()
+    ModelConfig(2, 2, 8, 16, 2, 280).validate()
+
+
 def test_init_deterministic():
     a = init(SMALL, seed=3)
     b = init(SMALL, seed=3)

@@ -26,6 +26,7 @@ from ipsdm.trainer import (
     EpochRecord,
     GapRecord,
     TrainingConfig,
+    check_vocabulary,
     evaluate,
     load_checkpoint,
     make_batches,
@@ -151,7 +152,6 @@ def test_train_single_epoch_record(memorized):
     assert first.learning_rate == config.optimizer.learning_rate
     assert "wall_time" not in first.as_dict()
 
-    assert checkpoint.format_version == 1
     assert not checkpoint.resumable
     assert checkpoint.optimizer_step is None
     assert checkpoint.vocab_sha256 == vocab_sha256(vocab)
@@ -361,6 +361,18 @@ def test_evaluate_guards(memorized):
         evaluate(checkpoint, Corpus.from_samples([]), wrong_vocab)
 
 
+def test_check_vocabulary_compares_hash_and_size(memorized):
+    corpus, vocab, _, checkpoint, _ = memorized
+    check_vocabulary(checkpoint, vocab)
+    fewer = replace(checkpoint, config=replace(checkpoint.config, vocab_size=vocab.size - 1))
+    with pytest.raises(VocabularyMismatch, match=f"{vocab.size} tokens, the model has"):
+        check_vocabulary(fewer, vocab)
+    with pytest.raises(VocabularyMismatch):
+        evaluate(fewer, corpus, vocab)
+    with pytest.raises(VocabularyMismatch, match="trained with another"):
+        check_vocabulary(replace(checkpoint, vocab_sha256="0" * 64), vocab)
+
+
 # ---------------------------------------------------------------------------
 # overfit gap
 
@@ -422,7 +434,6 @@ def test_checkpoint_round_trip_bit_identical(memorized, tmp_path):
     first_bytes = path.read_bytes()
 
     loaded = load_checkpoint(path)
-    assert loaded.format_version == checkpoint.format_version
     assert loaded.config == checkpoint.config
     assert loaded.vocab_sha256 == checkpoint.vocab_sha256
     assert loaded.resumable == checkpoint.resumable
@@ -535,7 +546,7 @@ def _small_checkpoint(tmp_path, resumable):
     path = tmp_path / "good.ckpt"
     save_checkpoint(
         Checkpoint(
-            format_version=1, config=_SMALL_MODEL, vocab_sha256="0" * 64, tensors=tensors,
+            config=_SMALL_MODEL, vocab_sha256="0" * 64, tensors=tensors,
             resumable=resumable, optimizer_step=3 if resumable else None,
         ),
         path,
