@@ -64,6 +64,7 @@ from .trainer import (
     TrainingConfig,
     check_vocabulary,
     evaluate as evaluate_checkpoint,
+    gap_warns,
     load_checkpoint,
     save_checkpoint,
     train as run_training,
@@ -520,7 +521,7 @@ def cmd_report(args) -> int:
         written.append(config.path("report.svg"))
     for report in reports:
         gap = report.overfit_gap
-        marker = f" [WARN: gap > {OVERFIT_GAP_THRESHOLD}]" if abs(gap) > OVERFIT_GAP_THRESHOLD else ""
+        marker = f" [WARN: gap > {OVERFIT_GAP_THRESHOLD}]" if gap_warns(gap) else ""
         print(
             f"{report.model}: val_accuracy={report.validation.scores.accuracy:.4f} "
             f"test_accuracy={report.test.scores.accuracy:.4f} gap={gap:+.4f}{marker}"

@@ -143,21 +143,94 @@ def init(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParameters:
     return ModelParameters(config=config, tensors=tensors)
 
 
-def gelu(u: np.ndarray) -> np.ndarray:
-    """Exact GELU, u * Phi(u), through scipy's erf.
+# Eigen's (and XLA's) fast float32 erf: x P(x^2) / Q(x^2) for |x| <= 4, P of
+# degree 6 and Q of degree 4, coefficients in ascending powers.
+_ERF_P = (-1.60960333262415e-02, -2.95459980854025e-03, -7.34990630326855e-04,
+          -5.69250639462346e-05, -2.10102402082508e-06, 2.77068142495902e-08,
+          -2.72614225801306e-10)
+_ERF_Q = (-1.42647390514189e-02, -7.37332916720468e-03, -1.68282697438203e-03,
+          -2.13374055278905e-04, -1.45660718464996e-05)
+# Both divided by Q's constant term, which makes it 1: the same rational, but
+# less float32 rounding error.
+_ERF_A = [np.float32(c / _ERF_Q[0]) for c in _ERF_P]
+_ERF_B = [np.float32(c / _ERF_Q[0]) for c in _ERF_Q]
+# Elements per pass: its input, output and five scratch buffers (1.8 MB of
+# float32) stay in cache.
+_ERF_CHUNK = 1 << 16
+_math_erf = np.frompyfunc(math.erf, 1, 1)
 
-    scipy.special is imported here, at its point of use, so that only the
-    stages that run the model (train, evaluate, classify) pay for loading it.
+
+def _erf_float32_pass(x, p, t, t2, t4, q, w) -> None:
+    """erf of the 1-d float32 array x into p; the rest are scratch buffers of
+    x's size. Estrin's scheme, whose shorter chains round less than Horner's
+    in float32."""
+    a, b = _ERF_A, _ERF_B
+    np.multiply(x, x, out=t)
+    # Capping x^2 at 16 evaluates |x| > 4 as x * erf(4) / 4, which the final
+    # clip takes to +-1 (and +-inf to +-1).
+    np.minimum(t, np.float32(16.0), out=t)
+    np.multiply(t, t, out=t2)
+    np.multiply(t2, t2, out=t4)
+    # q = (1 + b1 t) + t^2 (b2 + b3 t) + t^4 b4
+    np.multiply(t, b[1], out=q)
+    q += b[0]
+    np.multiply(t, b[3], out=w)
+    w += b[2]
+    w *= t2
+    q += w
+    np.multiply(t4, b[4], out=w)
+    q += w
+    # p = (a0 + a1 t) + t^2 (a2 + a3 t) + t^4 ((a4 + a5 t) + t^2 a6)
+    np.multiply(t, a[1], out=p)
+    p += a[0]
+    np.multiply(t, a[3], out=w)
+    w += a[2]
+    w *= t2
+    p += w
+    np.multiply(t, a[5], out=w)
+    w += a[4]
+    t2 *= a[6]
+    w += t2
+    w *= t4
+    p += w
+    p *= x
+    p /= q
+    # Rounding alone reaches 1 + 2e-7. Two ufuncs cost less than np.clip.
+    np.minimum(p, np.float32(1.0), out=p)
+    np.maximum(p, np.float32(-1.0), out=p)
+
+
+def erf(x) -> np.ndarray:
+    """The error function of a float array, elementwise, in x's dtype.
+
+    float32, the dtype every CLI stage runs in, takes a rational kernel whose
+    result lies within 4.1e-7 of the exact erf (3.4 ulp at 1; checked on
+    every float32 with 1e-6 <= |x| <= 8). It is odd, lies in [-1, 1], maps
+    +-inf to +-1, nan to nan and +-0 to +-0. Every other dtype goes through
+    math.erf, one element at a time, for float64 accuracy.
     """
-    from scipy.special import erf
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        return np.asarray(_math_erf(x), dtype=x.dtype)
+    out = np.empty(x.shape, np.float32)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    scratch = np.empty((5, min(flat_x.size, _ERF_CHUNK)), np.float32)
+    with np.errstate(over="ignore"):  # x^2 of |x| > 1.8e19 is inf, capped at 16
+        for start in range(0, flat_x.size, _ERF_CHUNK):
+            stop = min(start + _ERF_CHUNK, flat_x.size)
+            _erf_float32_pass(flat_x[start:stop], flat_out[start:stop],
+                              *scratch[:, : stop - start])
+    return out
 
+
+def gelu(u: np.ndarray) -> np.ndarray:
+    """Exact GELU, u * Phi(u), through erf: in float32 within 1.1e-6 of the
+    exact value on [-6, 6]."""
     return 0.5 * u * (1.0 + erf(u / math.sqrt(2.0)))
 
 
 def gelu_grad(u: np.ndarray) -> np.ndarray:
-    """d gelu / du; imports erf at its point of use, like gelu."""
-    from scipy.special import erf
-
+    """d gelu / du."""
     return 0.5 * (1.0 + erf(u / math.sqrt(2.0))) + u * np.exp(-0.5 * u * u) / math.sqrt(
         2.0 * math.pi
     )

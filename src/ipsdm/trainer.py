@@ -61,7 +61,8 @@ log = logging.getLogger(__name__)
 CHECKPOINT_MAGIC = b"IPSD"
 CHECKPOINT_FORMAT_VERSION = 1
 EARLY_STOP_METRICS = ("val_accuracy", "val_loss")
-# overfit_gap and `ipsdm report` flag a validation-test accuracy gap above this.
+# overfit_gap and `ipsdm report` flag, through gap_warns, a validation-test
+# accuracy gap above this.
 OVERFIT_GAP_THRESHOLD = 0.05
 _SHUFFLE_TAG = 0
 _DROPOUT_TAG = 1
@@ -401,6 +402,13 @@ class GapRecord:
     threshold: float
 
 
+def gap_warns(gap: float, threshold: float = OVERFIT_GAP_THRESHOLD) -> bool:
+    """Whether a validation-test accuracy gap lies above the threshold. The
+    gap is rounded to 9 decimals first, so that float error in a difference
+    of accuracies (1.0 - 0.95 is 0.050000000000000044) cannot tip it over."""
+    return round(abs(gap), 9) > threshold
+
+
 def overfit_gap(
     history: list[EpochRecord], test_report: SplitScores, threshold: float = OVERFIT_GAP_THRESHOLD
 ) -> GapRecord:
@@ -415,7 +423,7 @@ def overfit_gap(
         best_val_accuracy=best_val,
         test_accuracy=test_accuracy,
         gap=gap,
-        warn=gap > threshold,
+        warn=gap_warns(gap, threshold),
         threshold=threshold,
     )
 

@@ -1,8 +1,9 @@
 """Fuzzing of the config, `vocab.json` and `model.ckpt` a user hands the CLI.
 
-- A config with one model, training or split value changed must load or
-  raise `InputError`; a config that loads must encode at its `max_len` and
-  initialize its model.
+- A config with one model, training, optimizer or split value changed must
+  load or raise `InputError`; a config that loads must encode at its
+  `max_len`, initialize its model and take one optimizer step to finite
+  weights.
 - A `vocab.json` with a few byte edits must load or raise `CorruptFile`.
 - A checkpoint with one `model_config` integer set to a small value, its
   tensors rebuilt at the shapes that config names and its CRC re-signed, must
@@ -23,6 +24,7 @@ from ipsdm.cli import EXIT_INPUT, EXIT_OK, load_config, main
 from ipsdm.corpus import Label, save_split_csv
 from ipsdm.errors import CorruptFile, InputError
 from ipsdm.model import ModelConfig, init, tensor_shapes
+from ipsdm.optim import adamw_step, init_state
 from ipsdm.tokenizer import (
     decode, encode, load_vocab, save_vocab, train_vocab, vocab_sha256, vocab_to_json,
 )
@@ -43,9 +45,15 @@ CONFIG = {
               "stratified": True},
     "model": {**SMALL_MODEL, "dropout_rate": 0.1, "pooling": "first_token"},
     "training": {"train_batch_size": 8, "val_batch_size": 16, "num_epochs": 2, "seed": 0,
-                 "lr_schedule": "constant"},
+                 "lr_schedule": "constant",
+                 "optimizer": {"learning_rate": 2e-5, "beta1": 0.9, "beta2": 0.999,
+                               "epsilon": 1e-8, "weight_decay": 0.01, "variant": "decoupled",
+                               "clip_max_norm": 1.0}},
 }
-_CONFIG_KEYS = [(section, key) for section, values in CONFIG.items() for key in values]
+# Paths to every leaf: (section, key), or (section, "optimizer", key).
+_CONFIG_KEYS = [
+    (section, key) for section, values in CONFIG.items() for key in values if key != "optimizer"
+] + [("training", "optimizer", key) for key in CONFIG["training"]["optimizer"]]
 # Small integers sit at every lower bound; the rest are the wrong type, NaN or
 # out of range for at least one key.
 _JSON_VALUES = st.integers(-1, 3) | st.sampled_from(
@@ -55,9 +63,12 @@ _JSON_VALUES = st.integers(-1, 3) | st.sampled_from(
 
 @given(where=st.sampled_from(_CONFIG_KEYS), value=_JSON_VALUES)
 def test_config_with_one_value_changed_loads_or_raises_input_error(where, value):
-    section, key = where
-    doc = {name: dict(values) for name, values in CONFIG.items()}
-    doc[section][key] = value
+    *parents, key = where
+    doc = json.loads(json.dumps(CONFIG))
+    section = doc
+    for name in parents:
+        section = section[name]
+    section[key] = value
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -68,7 +79,10 @@ def test_config_with_one_value_changed_loads_or_raises_input_error(where, value)
             return
     model = replace(config.training.model, vocab_size=VOCAB.size)
     assert len(encode(VOCAB, CORPUS.samples[0].text, model.max_len).ids) == model.max_len
-    init(model, config.training.seed)
+    tensors = init(model, config.training.seed).tensors
+    grads = {name: np.ones_like(t) for name, t in tensors.items()}
+    adamw_step(tensors, grads, init_state(tensors), config.training.optimizer)
+    assert all(np.isfinite(t).all() for t in tensors.values())
 
 
 # ---------------------------------------------------------------------------

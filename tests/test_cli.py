@@ -839,6 +839,24 @@ def test_malformed_config_value_exits_input_before_writing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("learning_rate", float("nan")), ("weight_decay", float("nan")),
+     ("epsilon", float("inf")), ("clip_max_norm", float("nan"))],
+)
+def test_non_finite_optimizer_value_exits_input_before_writing(tmp_path, capsys, key, value):
+    """json reads NaN and Infinity; NaN passes a `x < 0` check, and a NaN
+    learning rate used to load, train and diverge (exit 3)."""
+    corpus = make_separable_corpus({Label.ham: 6, Label.spam: 6}, seed=0)
+    source = _write_source_csv(tmp_path / "mail.csv", corpus)
+    out = tmp_path / "out"
+    config = _write_config(tmp_path / "config.json", [source], out,
+                           training={**SMALL_TRAINING, "optimizer": {key: value}})
+    assert main(["prepare", "--config", str(config)]) == EXIT_INPUT
+    assert f"config section 'training.optimizer': {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_max_len_below_two_exits_input_before_writing(tmp_path, capsys):
     """encode needs room for [cls] and [sep]; prepare must refuse the config
     rather than let balance or train fail on it later."""
@@ -851,6 +869,23 @@ def test_max_len_below_two_exits_input_before_writing(tmp_path, capsys):
     assert "config section 'model': max_len must be an integer >= 2, got 1" in (
         capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_report_does_not_warn_on_a_gap_of_exactly_the_threshold(tmp_path, capsys):
+    """Validation 20/20 against test 19/20: 1.0 - 0.95 is 0.050000000000000044
+    in floats, yet the gap is 0.05, not above it."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output_dir": str(tmp_path / "out")}), encoding="utf-8")
+    paths = []
+    for split, matrix in (("validation", [[7, 0, 0], [0, 7, 0], [0, 0, 6]]),
+                          ("test", [[7, 0, 0], [0, 6, 1], [0, 0, 6]])):
+        path = tmp_path / f"{split}.json"
+        path.write_text(json.dumps({"model": "m", "split": split, "confusion_matrix": matrix}),
+                        encoding="utf-8")
+        paths.append(str(path))
+    assert main(["report", "--config", str(config), *paths]) == EXIT_OK
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line == "m: val_accuracy=1.0000 test_accuracy=0.9500 gap=+0.0500"
 
 
 # ---------------------------------------------------------------------------
@@ -874,8 +909,9 @@ print(json.dumps({"code": code, "import": after_import, "stage": scipy_modules()
 
 @pytest.fixture(scope="module")
 def startup_dirs(tmp_path_factory):
-    """Prepared, tokenized (and, when balanced, balanced) output directories
-    for a class-balanced and an imbalanced corpus, plus report fragments."""
+    """Prepared, tokenized (and, when balanced, balanced and trained) output
+    directories for a class-balanced and an imbalanced corpus, plus report
+    fragments."""
     root = tmp_path_factory.mktemp("startup")
     dirs = {}
     for name, counts, seed in (
@@ -891,7 +927,8 @@ def startup_dirs(tmp_path_factory):
             assert main([stage, "--config", str(config)]) == EXIT_OK
         dirs[name] = (config, root / name)
     config, out = dirs["balanced"]
-    assert main(["balance", "--config", str(config)]) == EXIT_OK
+    for stage in ("balance", "train"):
+        assert main([stage, "--config", str(config)]) == EXIT_OK
     for split in ("validation", "test"):
         (out / f"{split}.json").write_text(
             json.dumps({**_VALID_FRAGMENT, "split": split}), encoding="utf-8")
@@ -903,20 +940,23 @@ def startup_dirs(tmp_path_factory):
     [
         ("balanced", ["prepare"], set()),
         ("balanced", ["tokenizer-train"], set()),
-        ("balanced", ["report", "validation.json", "test.json"], set()),
+        ("balanced", ["report", "{out}/validation.json", "{out}/test.json"], set()),
         ("balanced", ["balance"], set()),
         ("imbalanced", ["balance"], {"scipy.sparse"}),
-        ("balanced", ["train"], {"scipy.special"}),
+        ("balanced", ["train"], set()),
+        ("balanced", ["evaluate", "--out", "{out}/evaluated.json"], set()),
+        ("balanced", ["classify", "--checkpoint", "{out}/model.ckpt", "--text", "free cash"],
+         set()),
     ],
-    ids=["prepare", "tokenizer-train", "report", "balance-noop", "balance", "train"],
+    ids=["prepare", "tokenizer-train", "report", "balance-noop", "balance", "train", "evaluate",
+         "classify"],
 )
 def test_each_stage_imports_scipy_only_where_it_computes(startup_dirs, corpus, stage, loads):
-    """scipy is imported at its point of use: stages that neither plan ADASYN
-    nor run the model start without it. The stages that do use it show that
-    the probe sees an import."""
+    """scipy is imported at its point of use: only balance, when it plans
+    ADASYN synthetics, loads it (scipy.sparse). That stage shows that the
+    probe sees an import; the model stages run on the package's own erf."""
     config, out = startup_dirs[corpus]
-    command, *fragments = stage
-    argv = [command, *(str(out / f) for f in fragments), "--config", str(config)]
+    argv = [arg.format(out=out) for arg in stage] + ["--config", str(config)]
     env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
     src = str(Path(ipsdm.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

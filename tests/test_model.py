@@ -11,6 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.special import erf as scipy_erf
 
 from ipsdm import blas, model
 from ipsdm.corpus import Label
@@ -327,6 +331,63 @@ def test_dropout_mask_values():
 
 # ---------------------------------------------------------------------------
 # gelu
+
+
+# ---------------------------------------------------------------------------
+# erf: scipy's is the oracle
+
+
+def _every_float32(lo, hi):
+    """Every float32 in [lo, hi], for 0 <= lo <= hi."""
+    first, last = np.array([lo, hi], dtype=np.float32).view(np.int32)
+    return np.arange(first, last + 1, dtype=np.int32).view(np.float32)
+
+
+def test_erf_float32_is_close_bounded_and_odd():
+    # A dense grid, plus every float32 of [3.3, 4.1], where x P/Q lies closest
+    # to 1 and carries the most rounding error.
+    tail = _every_float32(3.3, 4.1)
+    x = np.concatenate([np.linspace(-8.0, 8.0, 1 << 20, dtype=np.float32), tail, -tail])
+    y = model.erf(x)
+    assert y.dtype == np.float32
+    assert np.abs(y - scipy_erf(x.astype(np.float64))).max() <= 5e-7
+    assert np.abs(y).max() <= 1.0
+    np.testing.assert_array_equal(model.erf(-x), -y)
+
+
+def test_erf_float32_special_values():
+    y = model.erf(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0], dtype=np.float32))
+    np.testing.assert_array_equal(y, [1.0, -1.0, np.nan, 0.0, 0.0])
+    assert np.signbit(y).tolist() == [False, True, False, False, True]
+
+
+@given(arrays(np.float32, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=8),
+              elements=st.floats(width=32)))
+def test_erf_float32_matches_scipy_on_any_array(x):
+    y = model.erf(x)
+    assert y.shape == x.shape and y.dtype == np.float32
+    np.testing.assert_allclose(y, scipy_erf(x.astype(np.float64)), rtol=0, atol=5e-7)
+    assert not (np.abs(y) > 1.0).any()
+    np.testing.assert_array_equal(model.erf(-x), -y)
+    np.testing.assert_array_equal(model.erf(x.T), y.T)
+
+
+def test_erf_of_other_dtypes_keeps_float64_accuracy():
+    x = np.linspace(-6.0, 6.0, 241)
+    y = model.erf(x)
+    assert y.dtype == np.float64
+    np.testing.assert_allclose(y, scipy_erf(x), rtol=1e-15, atol=0)
+
+
+def test_gelu_float32_is_within_1_2e_6_of_float64():
+    # 0.5 u erf(u / sqrt 2) scales erf's error by u: every float32 of
+    # [4.5, 6] is checked, beside a grid over [-6, 6].
+    tail = _every_float32(4.5, 6.0)
+    u = np.concatenate([np.linspace(-6.0, 6.0, 1 << 18, dtype=np.float32), tail, -tail])
+    u64 = u.astype(np.float64)
+    exact = 0.5 * u64 * (1.0 + scipy_erf(u64 / math.sqrt(2.0)))
+    assert gelu(u).dtype == np.float32
+    assert np.abs(gelu(u) - exact).max() <= 1.2e-6
 
 
 def test_gelu_matches_definition_and_slope():

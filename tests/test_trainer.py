@@ -21,6 +21,7 @@ from ipsdm.metrics import SplitScores, confusion, score
 from ipsdm.model import ModelConfig, init
 from ipsdm.optim import OptimizerHyperparams
 from ipsdm.trainer import (
+    OVERFIT_GAP_THRESHOLD,
     Checkpoint,
     EarlyStopping,
     EpochRecord,
@@ -28,6 +29,7 @@ from ipsdm.trainer import (
     TrainingConfig,
     check_vocabulary,
     evaluate,
+    gap_warns,
     load_checkpoint,
     make_batches,
     overfit_gap,
@@ -415,6 +417,22 @@ def test_overfit_gap_warns_over_threshold():
     assert gap.warn
     relaxed = overfit_gap(history, report, threshold=0.10)
     assert not relaxed.warn
+
+
+def test_overfit_gap_does_not_warn_at_exactly_the_threshold():
+    history = [EpochRecord(1, 0.5, 0.4, 1.0, 2e-5)]
+    report = _split_scores([7, 6, 6], [(1, 2, 1)])  # 19 of 20 correct
+    assert 1.0 - report.scores.accuracy > OVERFIT_GAP_THRESHOLD  # float error
+    gap = overfit_gap(history, report)
+    assert round(gap.gap, 4) == 0.05
+    assert not gap.warn
+
+
+def test_gap_warns_strictly_above_the_threshold():
+    assert not gap_warns(1.0 - 0.95) and not gap_warns(-(1.0 - 0.95))
+    assert gap_warns(0.0501) and gap_warns(-0.0501)
+    assert not gap_warns(0.0499)
+    assert gap_warns(0.08, threshold=0.05) and not gap_warns(0.08, threshold=0.10)
 
 
 def test_overfit_gap_needs_history():
