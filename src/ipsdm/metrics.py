@@ -45,9 +45,10 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
         raise NonFiniteInput("cross_entropy received non-finite logits")
     batch = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(batch), labels]))
-    grad = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    grad = np.exp(shifted)
+    z = grad.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(batch), labels]))
+    grad /= z
     grad[np.arange(batch), labels] -= 1.0
     return loss, grad / batch
 

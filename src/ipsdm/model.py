@@ -158,6 +158,8 @@ _ERF_B = [np.float32(c / _ERF_Q[0]) for c in _ERF_Q]
 # float32) stay in cache.
 _ERF_CHUNK = 1 << 16
 _math_erf = np.frompyfunc(math.erf, 1, 1)
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _erf_float32_pass(x, p, t, t2, t4, q, w) -> None:
@@ -223,17 +225,45 @@ def erf(x) -> np.ndarray:
     return out
 
 
-def gelu(u: np.ndarray) -> np.ndarray:
+def _erf_plus_one(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """1 + erf(u / sqrt 2), the factor gelu and gelu_grad share, into out if
+    given."""
+    c = erf(u / _SQRT2)
+    return np.add(c, 1.0, out=c if out is None else out)
+
+
+def gelu(u: np.ndarray, erf_plus_one: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact GELU, u * Phi(u), through erf: in float32 within 1.1e-6 of the
-    exact value on [-6, 6]."""
-    return 0.5 * u * (1.0 + erf(u / math.sqrt(2.0)))
+    exact value on [-6, 6].
+
+    erf_plus_one, if given (an array of u's shape and dtype), receives
+    1 + erf(u / sqrt 2), from which gelu_grad and gelu_from rebuild their
+    results without another erf.
+    """
+    return gelu_from(u, _erf_plus_one(u, erf_plus_one))
 
 
-def gelu_grad(u: np.ndarray) -> np.ndarray:
-    """d gelu / du."""
-    return 0.5 * (1.0 + erf(u / math.sqrt(2.0))) + u * np.exp(-0.5 * u * u) / math.sqrt(
-        2.0 * math.pi
-    )
+def gelu_from(u: np.ndarray, erf_plus_one: np.ndarray) -> np.ndarray:
+    """gelu(u), bit for bit, from its 1 + erf(u / sqrt 2): two passes."""
+    h = u * 0.5
+    h *= erf_plus_one
+    return h
+
+
+def gelu_grad(u: np.ndarray, erf_plus_one: Optional[np.ndarray] = None) -> np.ndarray:
+    """d gelu / du = (1 + erf(u / sqrt 2)) / 2 + u exp(-u^2 / 2) / sqrt(2 pi).
+    Given gelu's erf_plus_one, it evaluates no erf; the result is the same
+    bit for bit."""
+    if erf_plus_one is None:
+        erf_plus_one = _erf_plus_one(u)
+    density = u * -0.5
+    density *= u
+    np.exp(density, out=density)
+    density *= u
+    density /= _SQRT_2PI
+    grad = erf_plus_one * 0.5
+    grad += density
+    return grad
 
 
 def attention(
@@ -245,43 +275,53 @@ def attention(
     """Scaled dot-product attention over the trailing two axes.
 
     q: (..., T, d), k/v: (..., S, d); key_mask: broadcastable to (..., S),
-    True where a key may be attended to. Scores for masked keys are set to
-    -inf before the softmax. Returns (output, probabilities).
+    True where a key may be attended to. Masked keys get a score of -inf
+    (a 0/-inf bias is added) before the softmax, which runs in place on the
+    scores. Returns (output, probabilities).
     """
     d_head = q.shape[-1]
-    scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(d_head)
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores /= math.sqrt(d_head)
     if key_mask is not None:
         key_mask = np.asarray(key_mask, dtype=bool)
         if not key_mask.any(axis=-1).all():
             raise AllMasked("a query row has no unmasked key position")
-        scores = np.where(key_mask[..., None, :], scores, -np.inf)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    probs = weights / weights.sum(axis=-1, keepdims=True)
-    return probs @ v, probs
+        # x + 0 is x for every score but -0, which exp maps to 1 either way.
+        scores += np.where(key_mask, 0.0, -np.inf).astype(scores.dtype)[..., None, :]
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores @ v, scores
 
 
-def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
-    b, t, d = x.shape
-    return x.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+def _split_heads(x: np.ndarray, batch: int, num_heads: int) -> np.ndarray:
+    """(batch * T, d) rows -> a (batch, heads, T, d / heads) view."""
+    d = x.shape[-1]
+    return x.reshape(batch, -1, num_heads, d // num_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(batch, heads, T, d_head) -> (batch * T, heads * d_head) rows."""
     b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+    return x.transpose(0, 2, 1, 3).reshape(b * t, h * dh)
 
 
 def _layer_norm(x, scale, offset):
+    """Layer norm over the last axis; the variance reuses x - mean, with
+    the same sums and divisions as x.var."""
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xhat = x - mu
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv_std
-    return xhat * scale + offset, xhat, inv_std
+    xhat *= inv_std
+    y = xhat * scale
+    y += offset
+    return y, xhat, inv_std
 
 
 def _layer_norm_backward(dy, xhat, inv_std, scale):
-    dscale = (dy * xhat).sum(axis=(0, 1))
-    doffset = dy.sum(axis=(0, 1))
+    dscale = (dy * xhat).sum(axis=0)
+    doffset = dy.sum(axis=0)
     dxhat = dy * scale
     dx = inv_std * (
         dxhat
@@ -291,12 +331,30 @@ def _layer_norm_backward(dy, xhat, inv_std, scale):
     return dx, dscale, doffset
 
 
+# Bit generators whose advance(n) skips exactly n 64-bit draws, as n
+# float64 uniforms consume. Philox's advance counts blocks of four.
+_ADVANCE_BY_DRAWS = (np.random.PCG64, np.random.PCG64DXSM)
+
+
 def _dropout_mask(rng, shape, rate, dtype, t=None):
     """Inverted-dropout mask of the given shape, cut to its first t positions
-    (axis 1). Uniforms are drawn for the whole shape, so the stream a batch
-    consumes does not depend on its true lengths."""
+    (axis 1). The mask, and the point the stream is left at, are those of
+    one draw for the whole shape, so neither depends on the true lengths.
+    A PCG64 generator (default_rng's) draws each row's first t positions
+    and advances past the rest; any other draws the whole shape."""
+    rows, positions = shape[:2]
+    t = positions if t is None else t
     keep = np.dtype(dtype).type(1.0 - rate)
-    return (rng.random(shape)[:, :t] >= rate).astype(dtype) / keep
+    bit_generator = rng.bit_generator
+    if t == positions or not isinstance(bit_generator, _ADVANCE_BY_DRAWS):
+        uniforms = rng.random(shape)[:, :t]
+    else:
+        uniforms = np.empty((rows, t, *shape[2:]))
+        skip = (positions - t) * math.prod(shape[2:])
+        for row in uniforms:
+            rng.random(out=row)
+            bit_generator.advance(skip)
+    return (uniforms >= rate).astype(dtype) / keep
 
 
 def forward(
@@ -310,13 +368,15 @@ def forward(
     Every sequence must be max_len long; compute covers only positions up to
     the batch's longest true length T, so the cache holds (batch, T) ids and
     key mask (True before each row's true_length), and only the first T
-    position-embedding rows are read.
+    position-embedding rows are read. Activations are (batch * T, d_model)
+    matrices, so each projection is one GEMM; attention and pooling view
+    them per sequence.
 
     Dropout is applied only when training=True (and dropout_rate > 0), drawing
-    masks from dropout_rng in a fixed order. Each mask is drawn for all
-    max_len positions and cut to T, so the masks on real positions, and the
-    stream consumed, are those of the full-length computation: training
-    differs from it only by rounding.
+    masks from dropout_rng in a fixed order. Each mask is the first T
+    positions of one drawn for all max_len positions, and leaves the stream
+    where that draw would, so training differs from the full-length
+    computation only by rounding.
     """
     config = params.config
     for seq in batch:
@@ -333,17 +393,20 @@ def forward(
     use_dropout = training and config.dropout_rate > 0.0
     if use_dropout and dropout_rng is None:
         raise ValueError("training forward with dropout requires dropout_rng")
-    padded_shape = (len(batch), config.max_len, config.d_model)
+    b, d, heads = len(batch), config.d_model, config.num_heads
+    padded_shape = (b, config.max_len, d)
 
-    x = tensors["token_embedding"][ids] + tensors["position_embedding"][None, :t, :]
+    x = tensors["token_embedding"][ids]
+    x += tensors["position_embedding"][:t]
+    x = x.reshape(b * t, d)
     cache = ForwardCache(ids=ids, key_mask=key_mask, params_version=params.version)
 
     for i in range(config.num_layers):
         prefix = f"layers.{i}"
         layer: dict = {"x": x}
-        q = _split_heads(x @ tensors[f"{prefix}.attn.w_q"], config.num_heads)
-        k = _split_heads(x @ tensors[f"{prefix}.attn.w_k"], config.num_heads)
-        v = _split_heads(x @ tensors[f"{prefix}.attn.w_v"], config.num_heads)
+        q = _split_heads(x @ tensors[f"{prefix}.attn.w_q"], b, heads)
+        k = _split_heads(x @ tensors[f"{prefix}.attn.w_k"], b, heads)
+        v = _split_heads(x @ tensors[f"{prefix}.attn.w_v"], b, heads)
         ctx, probs = attention(q, k, v, key_mask=key_mask[:, None, :])
         ctx_merged = _merge_heads(ctx)
         attn_out = ctx_merged @ tensors[f"{prefix}.attn.w_o"]
@@ -351,29 +414,34 @@ def forward(
             layer["drop1"] = _dropout_mask(
                 dropout_rng, padded_shape, config.dropout_rate, dtype, t
             )
-            attn_out = attn_out * layer["drop1"]
+            attn_out *= layer["drop1"].reshape(b * t, d)
+        attn_out += x
         x1, xhat1, inv_std1 = _layer_norm(
-            x + attn_out, tensors[f"{prefix}.ln1.scale"], tensors[f"{prefix}.ln1.offset"]
+            attn_out, tensors[f"{prefix}.ln1.scale"], tensors[f"{prefix}.ln1.offset"]
         )
         u = x1 @ tensors[f"{prefix}.ff.w1"]
-        h = gelu(u)
-        ff_out = h @ tensors[f"{prefix}.ff.w2"]
+        erf_plus_one = np.empty_like(u)
+        ff_out = gelu(u, erf_plus_one) @ tensors[f"{prefix}.ff.w2"]
         if use_dropout:
             layer["drop2"] = _dropout_mask(
                 dropout_rng, padded_shape, config.dropout_rate, dtype, t
             )
-            ff_out = ff_out * layer["drop2"]
+            ff_out *= layer["drop2"].reshape(b * t, d)
+        ff_out += x1
         x2, xhat2, inv_std2 = _layer_norm(
-            x1 + ff_out, tensors[f"{prefix}.ln2.scale"], tensors[f"{prefix}.ln2.offset"]
+            ff_out, tensors[f"{prefix}.ln2.scale"], tensors[f"{prefix}.ln2.offset"]
         )
+        # gelu(u) is not kept, so the cache grows by nothing: backward
+        # rebuilds it from erf_plus_one in two passes.
         layer.update(
             q=q, k=k, v=v, probs=probs, ctx_merged=ctx_merged,
             xhat1=xhat1, inv_std1=inv_std1, x1=x1,
-            u=u, h=h, xhat2=xhat2, inv_std2=inv_std2,
+            u=u, erf_plus_one=erf_plus_one, xhat2=xhat2, inv_std2=inv_std2,
         )
         cache.layers.append(layer)
         x = x2
 
+    x = x.reshape(b, t, d)
     if config.pooling == "first_token":
         pooled = x[:, 0, :]
     else:
@@ -401,8 +469,8 @@ def backward(
     grads = {name: np.zeros_like(t) for name, t in tensors.items()}
     key_mask = cache.key_mask
     b, t = cache.ids.shape
-    d = config.d_model
-    scale = 1.0 / math.sqrt(d // config.num_heads)
+    d, heads = config.d_model, config.num_heads
+    scale = 1.0 / math.sqrt(d // heads)
 
     grads["classifier.weight"] += cache.pooled.T @ dlogits
     grads["classifier.bias"] += dlogits.sum(axis=0)
@@ -410,10 +478,10 @@ def backward(
 
     dx = np.zeros_like(cache.layers[0]["x"])
     if config.pooling == "first_token":
-        dx[:, 0, :] = d_pooled
+        dx.reshape(b, t, d)[:, 0, :] = d_pooled
     else:
         counts = key_mask.sum(axis=1, keepdims=True).astype(d_pooled.dtype)
-        dx += (d_pooled / counts)[:, None, :] * key_mask[:, :, None]
+        dx.reshape(b, t, d)[...] += (d_pooled / counts)[:, None, :] * key_mask[:, :, None]
 
     for i in reversed(range(config.num_layers)):
         prefix = f"layers.{i}"
@@ -426,12 +494,17 @@ def backward(
         grads[f"{prefix}.ln2.scale"] += dscale2
         grads[f"{prefix}.ln2.offset"] += doffset2
 
-        dff_out = dln2_in * layer["drop2"] if "drop2" in layer else dln2_in
-        dh = dff_out @ tensors[f"{prefix}.ff.w2"].T
-        grads[f"{prefix}.ff.w2"] += layer["h"].reshape(-1, config.d_ff).T @ dff_out.reshape(-1, d)
-        du = dh * gelu_grad(layer["u"])
-        grads[f"{prefix}.ff.w1"] += x1.reshape(-1, d).T @ du.reshape(-1, config.d_ff)
-        dx1 = dln2_in + du @ tensors[f"{prefix}.ff.w1"].T
+        if "drop2" in layer:
+            dff_out = dln2_in * layer["drop2"].reshape(b * t, d)
+        else:
+            dff_out = dln2_in
+        du = dff_out @ tensors[f"{prefix}.ff.w2"].T
+        u, erf_plus_one = layer["u"], layer["erf_plus_one"]
+        grads[f"{prefix}.ff.w2"] += gelu_from(u, erf_plus_one).T @ dff_out
+        du *= gelu_grad(u, erf_plus_one)
+        grads[f"{prefix}.ff.w1"] += x1.T @ du
+        dx1 = du @ tensors[f"{prefix}.ff.w1"].T
+        dx1 += dln2_in
 
         dln1_in, dscale1, doffset1 = _layer_norm_backward(
             dx1, layer["xhat1"], layer["inv_std1"], tensors[f"{prefix}.ln1.scale"]
@@ -439,33 +512,33 @@ def backward(
         grads[f"{prefix}.ln1.scale"] += dscale1
         grads[f"{prefix}.ln1.offset"] += doffset1
 
-        dattn_out = dln1_in * layer["drop1"] if "drop1" in layer else dln1_in
-        dctx_merged = dattn_out @ tensors[f"{prefix}.attn.w_o"].T
-        grads[f"{prefix}.attn.w_o"] += (
-            layer["ctx_merged"].reshape(-1, d).T @ dattn_out.reshape(-1, d)
-        )
-        dctx = _split_heads(dctx_merged, config.num_heads)
+        if "drop1" in layer:
+            dattn_out = dln1_in * layer["drop1"].reshape(b * t, d)
+        else:
+            dattn_out = dln1_in
+        dctx = _split_heads(dattn_out @ tensors[f"{prefix}.attn.w_o"].T, b, heads)
+        grads[f"{prefix}.attn.w_o"] += layer["ctx_merged"].T @ dattn_out
 
         probs, q, k, v = layer["probs"], layer["q"], layer["k"], layer["v"]
-        dprobs = dctx @ np.swapaxes(v, -1, -2)
         dv = np.swapaxes(probs, -1, -2) @ dctx
-        # softmax backward; masked entries have probs == 0, hence dscores == 0
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        dq = dscores @ k * scale
-        dk = np.swapaxes(dscores, -1, -2) @ q * scale
+        # softmax backward, built in place on d(loss)/d(probs); masked
+        # entries have probs == 0, hence dscores == 0
+        dscores = dctx @ np.swapaxes(v, -1, -2)
+        dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+        dscores *= probs
+        dq = dscores @ k
+        dq *= scale
+        dk = np.swapaxes(dscores, -1, -2) @ q
+        dk *= scale
 
-        dQ, dK, dV = (_merge_heads(g) for g in (dq, dk, dv))
-        x_flat = x_in.reshape(-1, d)
-        grads[f"{prefix}.attn.w_q"] += x_flat.T @ dQ.reshape(-1, d)
-        grads[f"{prefix}.attn.w_k"] += x_flat.T @ dK.reshape(-1, d)
-        grads[f"{prefix}.attn.w_v"] += x_flat.T @ dV.reshape(-1, d)
-        dx = (
-            dln1_in
-            + dQ @ tensors[f"{prefix}.attn.w_q"].T
-            + dK @ tensors[f"{prefix}.attn.w_k"].T
-            + dV @ tensors[f"{prefix}.attn.w_v"].T
-        )
+        dx = dln1_in  # no longer read, so the sum can build in place
+        for name, g in (("w_q", dq), ("w_k", dk), ("w_v", dv)):
+            g = _merge_heads(g)
+            weight = f"{prefix}.attn.{name}"
+            grads[weight] += x_in.T @ g
+            dx += g @ tensors[weight].T
 
+    dx = dx.reshape(b, t, d)
     grads["position_embedding"][:t] += dx.sum(axis=0)
     np.add.at(grads["token_embedding"], cache.ids, dx)
     return grads

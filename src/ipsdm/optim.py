@@ -126,21 +126,34 @@ def adamw_step(
     bc1 = 1.0 - hyper.beta1**step
     bc2 = 1.0 - hyper.beta2**step
 
+    # Two scratch arrays per tensor (a third for the "paper" rule's wd * z);
+    # every other result is built in place, in the operation order of the
+    # update equations, so the update is the same bit for bit.
     for name, z in tensors.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        a = np.multiply(g, 1.0 - hyper.beta1)
         m *= hyper.beta1
-        m += (1.0 - hyper.beta1) * g
+        m += a
+        np.multiply(g, 1.0 - hyper.beta2, out=a)
+        a *= g
         v *= hyper.beta2
-        v += (1.0 - hyper.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        denom = np.sqrt(v_hat) + hyper.epsilon
+        v += a
+        np.divide(m, bc1, out=a)  # m_hat
+        denom = np.divide(v, bc2)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += hyper.epsilon
         if hyper.variant == "paper":
-            z -= (lr / denom) * (m_hat + hyper.weight_decay * z)
+            np.divide(lr, denom, out=denom)
+            a += hyper.weight_decay * z
+            a *= denom
         else:
-            z -= lr * m_hat / denom + lr * hyper.weight_decay * z
+            a *= lr
+            a /= denom
+            np.multiply(z, lr * hyper.weight_decay, out=denom)
+            a += denom
+        z -= a
     state.step = step
 
 

@@ -156,6 +156,18 @@ def dense_attention(q, k, v, key_mask=None):
 
 
 # ---------------------------------------------------------------------------
+# dropout: one draw over every position
+
+
+def full_length_dropout_mask(rng, shape, rate, dtype):
+    """Inverted-dropout mask drawn for the whole shape: one float64 uniform
+    per entry, in C order, kept where it is at least rate and scaled by
+    1 / (1 - rate)."""
+    keep = np.dtype(dtype).type(1.0 - rate)
+    return (rng.random(shape) >= rate).astype(dtype) / keep
+
+
+# ---------------------------------------------------------------------------
 # confusion: brute-force tally
 
 

@@ -29,13 +29,14 @@ from ipsdm.model import (
     backward,
     forward,
     gelu,
+    gelu_from,
     gelu_grad,
     init,
     predict,
 )
 from ipsdm.tokenizer import Vocabulary, encode
 
-from oracles import dense_attention, finite_difference_gradient
+from oracles import dense_attention, finite_difference_gradient, full_length_dropout_mask
 
 BASE_VOCAB = Vocabulary.from_merges([])
 
@@ -321,6 +322,38 @@ def test_forward_single_vs_batched_rows_agree():
         np.testing.assert_allclose(together[i], alone[0], rtol=1e-5, atol=1e-6)
 
 
+BIT_GENERATORS = {
+    "PCG64": np.random.PCG64,  # default_rng's: draws only the positions kept
+    "PCG64DXSM": np.random.PCG64DXSM,
+    "MT19937": np.random.MT19937,  # no advance: draws every position
+    "Philox": np.random.Philox,  # advance counts blocks of four draws
+}
+
+
+@given(
+    batch=st.integers(1, 8),
+    shape=st.integers(2, 40).flatmap(
+        lambda max_len: st.tuples(st.just(max_len), st.integers(1, max_len))),
+    width=st.integers(1, 16),
+    rate=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+    bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
+)
+def test_dropout_mask_equals_the_cut_full_length_mask(batch, shape, width, rate, seed,
+                                                      bit_generator):
+    """The mask cut to t positions is the first t positions of the mask drawn
+    for all max_len, bit for bit, and the generator is left where the full
+    draw leaves it."""
+    max_len, t = shape
+    rng = np.random.Generator(BIT_GENERATORS[bit_generator](seed))
+    reference = np.random.Generator(BIT_GENERATORS[bit_generator](seed))
+    mask = _dropout_mask(rng, (batch, max_len, width), rate, np.float32, t)
+    full = full_length_dropout_mask(reference, (batch, max_len, width), rate, np.float32)
+    assert mask.dtype == np.float32
+    np.testing.assert_array_equal(mask, full[:, :t])
+    assert rng.random() == reference.random()
+
+
 def test_dropout_mask_values():
     rng = np.random.default_rng(0)
     mask = _dropout_mask(rng, (200, 50), 0.25, np.float32)
@@ -398,6 +431,21 @@ def test_gelu_matches_definition_and_slope():
     step = 1e-6
     numeric = (gelu(u + step) - gelu(u - step)) / (2 * step)
     np.testing.assert_allclose(gelu_grad(u), numeric, atol=1e-8)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_reuses_its_erf_bit_for_bit(dtype):
+    """gelu_grad and gelu_from, given the 1 + erf(u / sqrt 2) that gelu left,
+    equal gelu_grad(u) and gelu(u) exactly."""
+    u = np.random.default_rng(3).normal(0.0, 3.0, size=(4, 7, 33)).astype(dtype)
+    u[0, 0, :4] = [0.0, -0.0, 40.0, -40.0]
+    erf_plus_one = np.empty_like(u)
+    h = gelu(u, erf_plus_one)
+    assert h.dtype == erf_plus_one.dtype == dtype
+    # bytes, so that -0.0 and +0.0 count as different
+    assert h.tobytes() == gelu(u).tobytes()
+    assert gelu_from(u, erf_plus_one).tobytes() == gelu(u).tobytes()
+    assert gelu_grad(u, erf_plus_one).tobytes() == gelu_grad(u).tobytes()
 
 
 # ---------------------------------------------------------------------------
