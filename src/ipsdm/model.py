@@ -10,13 +10,18 @@ Pooling takes the first-token state (default) or the mean over unmasked
 positions; either way padded positions never reach the logits, so logits are
 bit-identical under changes to padded token ids.
 
-Inputs are padded to max_len, but each forward and backward computes only the
-first T positions, T being the longest true length in the batch: the trailing
-positions are padding in every row, so cutting them changes no result beyond
-rounding (summation lengths and BLAS shapes follow T).
+Inputs are padded to max_len, but forward and backward compute only the
+batch's real tokens: activations are (N, d_model) matrices of its N real
+tokens, row by row in batch order, so every projection, feed-forward
+product, GELU, layer norm, residual add and dropout multiply runs on real
+rows only. Attention alone works on a padded view, (batch, heads, T, d_head)
+with T the batch's longest true length, whose padded slots are zero and
+masked as keys. A batch without padding has N = batch * T and runs with no
+gather or scatter at all.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -294,16 +299,29 @@ def attention(
     return scores @ v, scores
 
 
-def _split_heads(x: np.ndarray, batch: int, num_heads: int) -> np.ndarray:
-    """(batch * T, d) rows -> a (batch, heads, T, d / heads) view."""
-    d = x.shape[-1]
-    return x.reshape(batch, -1, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+def _padded(x: np.ndarray, real: Optional[np.ndarray], batch: int, t: int) -> np.ndarray:
+    """(N, d) rows of real tokens -> (batch, T, d), zero in every padded
+    slot. real is the (batch, T) key mask, or None when nothing is padded
+    (N = batch * T), which makes this a view."""
+    if real is None:
+        return x.reshape(batch, t, -1)
+    out = np.zeros((batch, t, x.shape[-1]), x.dtype)
+    out[real] = x
+    return out
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(batch, heads, T, d_head) -> (batch * T, heads * d_head) rows."""
+def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """(batch, T, d) -> a (batch, heads, T, d / heads) view."""
+    b, t, d = x.shape
+    return x.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x: np.ndarray, real: Optional[np.ndarray]) -> np.ndarray:
+    """(batch, heads, T, d_head) -> (N, heads * d_head) rows of the real
+    tokens, every (batch * T) position when real is None."""
     b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b * t, h * dh)
+    x = x.transpose(0, 2, 1, 3)
+    return x.reshape(b * t, h * dh) if real is None else x[real].reshape(-1, h * dh)
 
 
 def _layer_norm(x, scale, offset):
@@ -336,25 +354,38 @@ def _layer_norm_backward(dy, xhat, inv_std, scale):
 _ADVANCE_BY_DRAWS = (np.random.PCG64, np.random.PCG64DXSM)
 
 
-def _dropout_mask(rng, shape, rate, dtype, t=None):
-    """Inverted-dropout mask of the given shape, cut to its first t positions
-    (axis 1). The mask, and the point the stream is left at, are those of
-    one draw for the whole shape, so neither depends on the true lengths.
-    A PCG64 generator (default_rng's) draws each row's first t positions
-    and advances past the rest; any other draws the whole shape."""
-    rows, positions = shape[:2]
-    t = positions if t is None else t
+def _dropout_mask(rng, shape, rate, dtype, lengths, uniforms=None):
+    """Inverted-dropout mask of each row's leading lengths[i] positions of a
+    (rows, positions, ...) shape, the rows stacked: (sum(lengths),
+    *shape[2:]). Those entries, and the point the stream is left at, are
+    those of one draw for the whole shape, so neither depends on the
+    lengths. A PCG64 generator (default_rng's) draws each row's kept
+    positions and advances past the rest; any other draws the whole shape.
+    uniforms, if given, is a float64 buffer of the mask's shape for the
+    draws."""
+    positions = shape[1]
+    lengths = [operator.index(n) for n in lengths]
     keep = np.dtype(dtype).type(1.0 - rate)
+    if uniforms is None:
+        uniforms = np.empty((sum(lengths), *shape[2:]))
     bit_generator = rng.bit_generator
-    if t == positions or not isinstance(bit_generator, _ADVANCE_BY_DRAWS):
-        uniforms = rng.random(shape)[:, :t]
+    if all(n == positions for n in lengths):
+        rng.random(out=uniforms)
+    elif isinstance(bit_generator, _ADVANCE_BY_DRAWS):
+        width = math.prod(shape[2:])
+        start = 0
+        for n in lengths:
+            rng.random(out=uniforms[start : start + n])
+            bit_generator.advance((positions - n) * width)
+            start += n
     else:
-        uniforms = np.empty((rows, t, *shape[2:]))
-        skip = (positions - t) * math.prod(shape[2:])
-        for row in uniforms:
-            rng.random(out=row)
-            bit_generator.advance(skip)
+        uniforms[...] = rng.random(shape)[np.arange(positions) < np.array(lengths)[:, None]]
     return (uniforms >= rate).astype(dtype) / keep
+
+
+def _first_tokens(lengths: np.ndarray) -> np.ndarray:
+    """Index of each sequence's first token among the packed rows."""
+    return np.cumsum(lengths) - lengths
 
 
 def forward(
@@ -365,18 +396,19 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the encoder on a batch, returning (logits, cache).
 
-    Every sequence must be max_len long; compute covers only positions up to
-    the batch's longest true length T, so the cache holds (batch, T) ids and
-    key mask (True before each row's true_length), and only the first T
-    position-embedding rows are read. Activations are (batch * T, d_model)
-    matrices, so each projection is one GEMM; attention and pooling view
-    them per sequence.
+    Every sequence must be max_len long; compute covers only the batch's N
+    real tokens. The cache holds (batch, T) ids and key mask (True before
+    each row's true_length), T being the longest true length, and each
+    layer's activations as (N, d_model) matrices: the real tokens, row by
+    row in batch order. Attention scatters q, k and v into zero-filled
+    (batch, heads, T, d_head) arrays and gathers its context back to N rows;
+    a batch without padding (N = batch * T) does neither.
 
     Dropout is applied only when training=True (and dropout_rate > 0), drawing
-    masks from dropout_rng in a fixed order. Each mask is the first T
-    positions of one drawn for all max_len positions, and leaves the stream
-    where that draw would, so training differs from the full-length
-    computation only by rounding.
+    masks from dropout_rng in a fixed order through one float64 buffer. Each
+    mask holds the real tokens' entries of one drawn for all max_len
+    positions, and leaves the stream where that draw would, so training
+    differs from the full-length computation only by rounding.
     """
     config = params.config
     for seq in batch:
@@ -388,6 +420,9 @@ def forward(
     t = int(lengths.max())
     ids = np.array([seq.ids[:t] for seq in batch], dtype=np.int64)
     key_mask = np.arange(t) < lengths[:, None]
+    # None when no row is padded: the packed rows are then the flat
+    # (batch * T) ones, and nothing is gathered or scattered.
+    real = None if key_mask.all() else key_mask
     tensors = params.tensors
     dtype = tensors["token_embedding"].dtype
     use_dropout = training and config.dropout_rate > 0.0
@@ -396,25 +431,30 @@ def forward(
     b, d, heads = len(batch), config.d_model, config.num_heads
     padded_shape = (b, config.max_len, d)
 
-    x = tensors["token_embedding"][ids]
-    x += tensors["position_embedding"][:t]
-    x = x.reshape(b * t, d)
+    if real is None:
+        x = tensors["token_embedding"][ids]
+        x += tensors["position_embedding"][:t]
+        x = x.reshape(b * t, d)
+    else:
+        x = tensors["token_embedding"][ids[real]]
+        x += tensors["position_embedding"][np.nonzero(real)[1]]
+    uniforms = np.empty(x.shape) if use_dropout else None
     cache = ForwardCache(ids=ids, key_mask=key_mask, params_version=params.version)
 
     for i in range(config.num_layers):
         prefix = f"layers.{i}"
         layer: dict = {"x": x}
-        q = _split_heads(x @ tensors[f"{prefix}.attn.w_q"], b, heads)
-        k = _split_heads(x @ tensors[f"{prefix}.attn.w_k"], b, heads)
-        v = _split_heads(x @ tensors[f"{prefix}.attn.w_v"], b, heads)
+        q = _split_heads(_padded(x @ tensors[f"{prefix}.attn.w_q"], real, b, t), heads)
+        k = _split_heads(_padded(x @ tensors[f"{prefix}.attn.w_k"], real, b, t), heads)
+        v = _split_heads(_padded(x @ tensors[f"{prefix}.attn.w_v"], real, b, t), heads)
         ctx, probs = attention(q, k, v, key_mask=key_mask[:, None, :])
-        ctx_merged = _merge_heads(ctx)
+        ctx_merged = _merge_heads(ctx, real)
         attn_out = ctx_merged @ tensors[f"{prefix}.attn.w_o"]
         if use_dropout:
             layer["drop1"] = _dropout_mask(
-                dropout_rng, padded_shape, config.dropout_rate, dtype, t
+                dropout_rng, padded_shape, config.dropout_rate, dtype, lengths, uniforms
             )
-            attn_out *= layer["drop1"].reshape(b * t, d)
+            attn_out *= layer["drop1"]
         attn_out += x
         x1, xhat1, inv_std1 = _layer_norm(
             attn_out, tensors[f"{prefix}.ln1.scale"], tensors[f"{prefix}.ln1.offset"]
@@ -424,9 +464,9 @@ def forward(
         ff_out = gelu(u, erf_plus_one) @ tensors[f"{prefix}.ff.w2"]
         if use_dropout:
             layer["drop2"] = _dropout_mask(
-                dropout_rng, padded_shape, config.dropout_rate, dtype, t
+                dropout_rng, padded_shape, config.dropout_rate, dtype, lengths, uniforms
             )
-            ff_out *= layer["drop2"].reshape(b * t, d)
+            ff_out *= layer["drop2"]
         ff_out += x1
         x2, xhat2, inv_std2 = _layer_norm(
             ff_out, tensors[f"{prefix}.ln2.scale"], tensors[f"{prefix}.ln2.offset"]
@@ -441,12 +481,11 @@ def forward(
         cache.layers.append(layer)
         x = x2
 
-    x = x.reshape(b, t, d)
     if config.pooling == "first_token":
-        pooled = x[:, 0, :]
+        pooled = x[_first_tokens(lengths)]
     else:
-        counts = key_mask.sum(axis=1, keepdims=True).astype(dtype)
-        pooled = (x * key_mask[:, :, None]).sum(axis=1) / counts
+        counts = lengths[:, None].astype(dtype)
+        pooled = _padded(x, real, b, t).sum(axis=1) / counts
     cache.pooled = pooled
     logits = pooled @ tensors["classifier.weight"] + tensors["classifier.bias"]
     return logits, cache
@@ -457,7 +496,9 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of the loss w.r.t. every tensor, given d(loss)/d(logits).
 
-    Position-embedding rows at or past the cache's length T get zero gradient.
+    Per-token gradients run on the cache's N real-token rows, attention's on
+    its padded view. Position-embedding rows at or past the cache's length T
+    get zero gradient.
     """
     if cache.params_version != params.version:
         raise StaleCache(
@@ -468,6 +509,8 @@ def backward(
     tensors = params.tensors
     grads = {name: np.zeros_like(t) for name, t in tensors.items()}
     key_mask = cache.key_mask
+    real = None if key_mask.all() else key_mask
+    lengths = key_mask.sum(axis=1)
     b, t = cache.ids.shape
     d, heads = config.d_model, config.num_heads
     scale = 1.0 / math.sqrt(d // heads)
@@ -476,12 +519,12 @@ def backward(
     grads["classifier.bias"] += dlogits.sum(axis=0)
     d_pooled = dlogits @ tensors["classifier.weight"].T
 
-    dx = np.zeros_like(cache.layers[0]["x"])
     if config.pooling == "first_token":
-        dx.reshape(b, t, d)[:, 0, :] = d_pooled
+        dx = np.zeros_like(cache.layers[0]["x"])
+        dx[_first_tokens(lengths)] = d_pooled
     else:
-        counts = key_mask.sum(axis=1, keepdims=True).astype(d_pooled.dtype)
-        dx.reshape(b, t, d)[...] += (d_pooled / counts)[:, None, :] * key_mask[:, :, None]
+        counts = lengths[:, None].astype(d_pooled.dtype)
+        dx = np.repeat(d_pooled / counts, lengths, axis=0)
 
     for i in reversed(range(config.num_layers)):
         prefix = f"layers.{i}"
@@ -494,10 +537,7 @@ def backward(
         grads[f"{prefix}.ln2.scale"] += dscale2
         grads[f"{prefix}.ln2.offset"] += doffset2
 
-        if "drop2" in layer:
-            dff_out = dln2_in * layer["drop2"].reshape(b * t, d)
-        else:
-            dff_out = dln2_in
+        dff_out = dln2_in * layer["drop2"] if "drop2" in layer else dln2_in
         du = dff_out @ tensors[f"{prefix}.ff.w2"].T
         u, erf_plus_one = layer["u"], layer["erf_plus_one"]
         grads[f"{prefix}.ff.w2"] += gelu_from(u, erf_plus_one).T @ dff_out
@@ -512,11 +552,9 @@ def backward(
         grads[f"{prefix}.ln1.scale"] += dscale1
         grads[f"{prefix}.ln1.offset"] += doffset1
 
-        if "drop1" in layer:
-            dattn_out = dln1_in * layer["drop1"].reshape(b * t, d)
-        else:
-            dattn_out = dln1_in
-        dctx = _split_heads(dattn_out @ tensors[f"{prefix}.attn.w_o"].T, b, heads)
+        dattn_out = dln1_in * layer["drop1"] if "drop1" in layer else dln1_in
+        dctx = _padded(dattn_out @ tensors[f"{prefix}.attn.w_o"].T, real, b, t)
+        dctx = _split_heads(dctx, heads)
         grads[f"{prefix}.attn.w_o"] += layer["ctx_merged"].T @ dattn_out
 
         probs, q, k, v = layer["probs"], layer["q"], layer["k"], layer["v"]
@@ -533,14 +571,13 @@ def backward(
 
         dx = dln1_in  # no longer read, so the sum can build in place
         for name, g in (("w_q", dq), ("w_k", dk), ("w_v", dv)):
-            g = _merge_heads(g)
+            g = _merge_heads(g, real)
             weight = f"{prefix}.attn.{name}"
             grads[weight] += x_in.T @ g
             dx += g @ tensors[weight].T
 
-    dx = dx.reshape(b, t, d)
-    grads["position_embedding"][:t] += dx.sum(axis=0)
-    np.add.at(grads["token_embedding"], cache.ids, dx)
+    grads["position_embedding"][:t] += _padded(dx, real, b, t).sum(axis=0)
+    np.add.at(grads["token_embedding"], cache.ids[key_mask], dx)
     return grads
 
 

@@ -3,12 +3,15 @@
 Everything here is deliberately written by a different route than the library
 code it checks: full recounts instead of incremental bookkeeping, scalar
 Python loops instead of vectorized numpy, dense matrices instead of sparse
-ones. Slow and simple on purpose.
+ones, every padded position instead of packed real tokens. Slow and simple
+on purpose.
 """
 
 import math
 
 import numpy as np
+
+from ipsdm.model import _layer_norm, _layer_norm_backward, attention, gelu, gelu_from, gelu_grad
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +168,171 @@ def full_length_dropout_mask(rng, shape, rate, dtype):
     1 / (1 - rate)."""
     keep = np.dtype(dtype).type(1.0 - rate)
     return (rng.random(shape) >= rate).astype(dtype) / keep
+
+
+# ---------------------------------------------------------------------------
+# encoder: every per-token op over the padded (batch * T) positions
+
+
+def _split_heads(x, batch, num_heads):
+    d = x.shape[-1]
+    return x.reshape(batch, -1, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    b, h, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b * t, h * dh)
+
+
+def padded_forward(params, batch, training=False, dropout_rng=None):
+    """The encoder with every row padded to the batch's longest true length
+    T: every per-token op runs on all batch * T positions. It checks the
+    packed layout of model.forward, and shares its kernels (layer norm,
+    attention, GELU). Dropout masks are the first T positions of
+    full_length_dropout_mask. Returns (logits, cache), the cache a dict."""
+    config = params.config
+    lengths = np.array([seq.true_length for seq in batch])
+    t = int(lengths.max())
+    ids = np.array([seq.ids[:t] for seq in batch], dtype=np.int64)
+    key_mask = np.arange(t) < lengths[:, None]
+    tensors = params.tensors
+    dtype = tensors["token_embedding"].dtype
+    use_dropout = training and config.dropout_rate > 0.0
+    b, d, heads = len(batch), config.d_model, config.num_heads
+    padded_shape = (b, config.max_len, d)
+
+    def mask():
+        full = full_length_dropout_mask(dropout_rng, padded_shape, config.dropout_rate, dtype)
+        return full[:, :t]
+
+    x = tensors["token_embedding"][ids]
+    x += tensors["position_embedding"][:t]
+    x = x.reshape(b * t, d)
+    cache = {"ids": ids, "key_mask": key_mask, "layers": []}
+    for i in range(config.num_layers):
+        prefix = f"layers.{i}"
+        layer = {"x": x}
+        q = _split_heads(x @ tensors[f"{prefix}.attn.w_q"], b, heads)
+        k = _split_heads(x @ tensors[f"{prefix}.attn.w_k"], b, heads)
+        v = _split_heads(x @ tensors[f"{prefix}.attn.w_v"], b, heads)
+        ctx, probs = attention(q, k, v, key_mask=key_mask[:, None, :])
+        ctx_merged = _merge_heads(ctx)
+        attn_out = ctx_merged @ tensors[f"{prefix}.attn.w_o"]
+        if use_dropout:
+            layer["drop1"] = mask()
+            attn_out *= layer["drop1"].reshape(b * t, d)
+        attn_out += x
+        x1, xhat1, inv_std1 = _layer_norm(
+            attn_out, tensors[f"{prefix}.ln1.scale"], tensors[f"{prefix}.ln1.offset"]
+        )
+        u = x1 @ tensors[f"{prefix}.ff.w1"]
+        erf_plus_one = np.empty_like(u)
+        ff_out = gelu(u, erf_plus_one) @ tensors[f"{prefix}.ff.w2"]
+        if use_dropout:
+            layer["drop2"] = mask()
+            ff_out *= layer["drop2"].reshape(b * t, d)
+        ff_out += x1
+        x2, xhat2, inv_std2 = _layer_norm(
+            ff_out, tensors[f"{prefix}.ln2.scale"], tensors[f"{prefix}.ln2.offset"]
+        )
+        layer.update(
+            q=q, k=k, v=v, probs=probs, ctx_merged=ctx_merged,
+            xhat1=xhat1, inv_std1=inv_std1, x1=x1,
+            u=u, erf_plus_one=erf_plus_one, xhat2=xhat2, inv_std2=inv_std2,
+        )
+        cache["layers"].append(layer)
+        x = x2
+
+    x = x.reshape(b, t, d)
+    if config.pooling == "first_token":
+        pooled = x[:, 0, :]
+    else:
+        counts = key_mask.sum(axis=1, keepdims=True).astype(dtype)
+        pooled = (x * key_mask[:, :, None]).sum(axis=1) / counts
+    cache["pooled"] = pooled
+    logits = pooled @ tensors["classifier.weight"] + tensors["classifier.bias"]
+    return logits, cache
+
+
+def padded_backward(params, cache, dlogits):
+    """model.backward over padded_forward's cache: every per-token gradient
+    is computed at all batch * T positions, zero at the padded ones."""
+    config = params.config
+    tensors = params.tensors
+    grads = {name: np.zeros_like(t) for name, t in tensors.items()}
+    key_mask = cache["key_mask"]
+    b, t = cache["ids"].shape
+    d, heads = config.d_model, config.num_heads
+    scale = 1.0 / math.sqrt(d // heads)
+
+    grads["classifier.weight"] += cache["pooled"].T @ dlogits
+    grads["classifier.bias"] += dlogits.sum(axis=0)
+    d_pooled = dlogits @ tensors["classifier.weight"].T
+
+    dx = np.zeros_like(cache["layers"][0]["x"])
+    if config.pooling == "first_token":
+        dx.reshape(b, t, d)[:, 0, :] = d_pooled
+    else:
+        counts = key_mask.sum(axis=1, keepdims=True).astype(d_pooled.dtype)
+        dx.reshape(b, t, d)[...] += (d_pooled / counts)[:, None, :] * key_mask[:, :, None]
+
+    for i in reversed(range(config.num_layers)):
+        prefix = f"layers.{i}"
+        layer = cache["layers"][i]
+        x_in, x1 = layer["x"], layer["x1"]
+
+        dln2_in, dscale2, doffset2 = _layer_norm_backward(
+            dx, layer["xhat2"], layer["inv_std2"], tensors[f"{prefix}.ln2.scale"]
+        )
+        grads[f"{prefix}.ln2.scale"] += dscale2
+        grads[f"{prefix}.ln2.offset"] += doffset2
+
+        if "drop2" in layer:
+            dff_out = dln2_in * layer["drop2"].reshape(b * t, d)
+        else:
+            dff_out = dln2_in
+        du = dff_out @ tensors[f"{prefix}.ff.w2"].T
+        u, erf_plus_one = layer["u"], layer["erf_plus_one"]
+        grads[f"{prefix}.ff.w2"] += gelu_from(u, erf_plus_one).T @ dff_out
+        du *= gelu_grad(u, erf_plus_one)
+        grads[f"{prefix}.ff.w1"] += x1.T @ du
+        dx1 = du @ tensors[f"{prefix}.ff.w1"].T
+        dx1 += dln2_in
+
+        dln1_in, dscale1, doffset1 = _layer_norm_backward(
+            dx1, layer["xhat1"], layer["inv_std1"], tensors[f"{prefix}.ln1.scale"]
+        )
+        grads[f"{prefix}.ln1.scale"] += dscale1
+        grads[f"{prefix}.ln1.offset"] += doffset1
+
+        if "drop1" in layer:
+            dattn_out = dln1_in * layer["drop1"].reshape(b * t, d)
+        else:
+            dattn_out = dln1_in
+        dctx = _split_heads(dattn_out @ tensors[f"{prefix}.attn.w_o"].T, b, heads)
+        grads[f"{prefix}.attn.w_o"] += layer["ctx_merged"].T @ dattn_out
+
+        probs, q, k, v = layer["probs"], layer["q"], layer["k"], layer["v"]
+        dv = np.swapaxes(probs, -1, -2) @ dctx
+        dscores = dctx @ np.swapaxes(v, -1, -2)
+        dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+        dscores *= probs
+        dq = dscores @ k
+        dq *= scale
+        dk = np.swapaxes(dscores, -1, -2) @ q
+        dk *= scale
+
+        dx = dln1_in
+        for name, g in (("w_q", dq), ("w_k", dk), ("w_v", dv)):
+            g = _merge_heads(g)
+            weight = f"{prefix}.attn.{name}"
+            grads[weight] += x_in.T @ g
+            dx += g @ tensors[weight].T
+
+    dx = dx.reshape(b, t, d)
+    grads["position_embedding"][:t] += dx.sum(axis=0)
+    np.add.at(grads["token_embedding"], cache["ids"], dx)
+    return grads
 
 
 # ---------------------------------------------------------------------------

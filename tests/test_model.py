@@ -287,21 +287,22 @@ def test_forward_dropout_reproducible_and_off_at_eval():
 
 
 def test_dropout_masks_follow_the_full_length_stream():
-    """Masks are drawn for all max_len positions and cut to the batch's
-    longest true length T, so a short batch consumes the same uniforms as the
-    full-length computation and keeps the leading T positions of its masks."""
+    """Masks hold only the real tokens, row by row, of masks drawn for all
+    max_len positions, so a short batch consumes the same uniforms as the
+    full-length computation and each real token keeps its entry of them."""
     config = ModelConfig(2, 2, 8, 16, 12, 280, dropout_rate=0.5)
     params = init(config, seed=0)
     batch = _batch(["free cash", "hi", "team"])
-    t = max(seq.true_length for seq in batch)
-    assert t < config.max_len
+    lengths = np.array([seq.true_length for seq in batch])
+    assert lengths.max() < config.max_len and len(set(lengths)) > 1
+    real = np.arange(config.max_len) < lengths[:, None]
     rng = np.random.default_rng(4)
     _, cache = forward(params, batch, training=True, dropout_rng=rng)
     reference = np.random.default_rng(4)
     for layer in cache.layers:
         for key in ("drop1", "drop2"):
-            full = _dropout_mask(reference, (len(batch), 12, 8), 0.5, np.float32)
-            assert np.array_equal(layer[key], full[:, :t]), key
+            full = full_length_dropout_mask(reference, (len(batch), 12, 8), 0.5, np.float32)
+            assert np.array_equal(layer[key], full[real]), key
     assert rng.random() == reference.random()
 
 
@@ -331,32 +332,41 @@ BIT_GENERATORS = {
 
 
 @given(
-    batch=st.integers(1, 8),
-    shape=st.integers(2, 40).flatmap(
-        lambda max_len: st.tuples(st.just(max_len), st.integers(1, max_len))),
+    shape=st.integers(2, 40).flatmap(lambda max_len: st.tuples(
+        st.just(max_len),
+        st.lists(st.integers(0, max_len) | st.just(max_len), min_size=1, max_size=8))),
     width=st.integers(1, 16),
     rate=st.floats(0.0, 1.0, exclude_max=True),
     seed=st.integers(0, 2**32 - 1),
     bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
 )
-def test_dropout_mask_equals_the_cut_full_length_mask(batch, shape, width, rate, seed,
+def test_dropout_mask_equals_the_cut_full_length_mask(shape, width, rate, seed,
                                                       bit_generator):
-    """The mask cut to t positions is the first t positions of the mask drawn
-    for all max_len, bit for bit, and the generator is left where the full
-    draw leaves it."""
-    max_len, t = shape
+    """The mask cut to per-row lengths is each row's leading positions of the
+    mask drawn for all max_len, rows stacked, bit for bit, and the generator
+    is left where the full draw leaves it."""
+    max_len, lengths = shape
+    full_shape = (len(lengths), max_len, width)
     rng = np.random.Generator(BIT_GENERATORS[bit_generator](seed))
     reference = np.random.Generator(BIT_GENERATORS[bit_generator](seed))
-    mask = _dropout_mask(rng, (batch, max_len, width), rate, np.float32, t)
-    full = full_length_dropout_mask(reference, (batch, max_len, width), rate, np.float32)
+    mask = _dropout_mask(rng, full_shape, rate, np.float32, lengths)
+    full = full_length_dropout_mask(reference, full_shape, rate, np.float32)
     assert mask.dtype == np.float32
-    np.testing.assert_array_equal(mask, full[:, :t])
+    np.testing.assert_array_equal(mask, full[np.arange(max_len) < np.array(lengths)[:, None]])
     assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("lengths", [np.array([3, 5]), [np.int64(3), np.int32(5)]])
+def test_dropout_mask_takes_numpy_integer_lengths(lengths):
+    """PCG64's advance raises OverflowError for a numpy integer skip."""
+    mask = _dropout_mask(np.random.default_rng(2), (2, 8, 4), 0.1, np.float32, lengths)
+    expected = _dropout_mask(np.random.default_rng(2), (2, 8, 4), 0.1, np.float32, [3, 5])
+    assert np.array_equal(mask, expected)
 
 
 def test_dropout_mask_values():
     rng = np.random.default_rng(0)
-    mask = _dropout_mask(rng, (200, 50), 0.25, np.float32)
+    mask = _dropout_mask(rng, (200, 50), 0.25, np.float32, [50] * 200)
     keep = np.float32(0.75)
     assert set(np.unique(mask)) <= {np.float32(0.0), np.float32(1.0) / keep}
     assert abs(float(mask.mean()) - 1.0) < 0.05

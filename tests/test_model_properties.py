@@ -1,12 +1,22 @@
-"""Property test: the trimmed forward/backward against a full-length run.
+"""Property tests: the packed, trimmed forward/backward against two oracles.
 
-`forward` computes only up to the batch's longest true length T. The oracle
-is the same batch with one extra sequence of true length max_len appended,
-which forces T = max_len (the pre-trimming compute), and a zero upstream
-gradient for that extra row, so it adds nothing to any gradient. Logits and
-every gradient must agree to rounding; `cache.ids` must have T columns, so
-that a silent return to full-length compute fails here, and `cache.key_mask`
-must mark exactly each row's first true_length positions.
+`forward` computes only the batch's N real tokens, held as (N, d_model)
+rows, up to the batch's longest true length T.
+
+The padded oracle, `tests/oracles.py` `padded_forward` and
+`padded_backward`, runs every per-token op over all batch * T positions;
+dropout is on, with same-seed generators on both sides. Logits and every
+gradient must agree to rounding, and bit for bit when no row is padded; each
+cached per-token activation must have N rows, so that a silent return to
+padded compute fails here.
+
+The full-length oracle is the same batch with one extra sequence of true
+length max_len appended, which forces T = max_len (the pre-trimming
+compute), and a zero upstream gradient for that extra row, so it adds
+nothing to any gradient. Logits and every gradient must agree to rounding;
+`cache.ids` must have T columns, so that a silent return to full-length
+compute fails here, and `cache.key_mask` must mark exactly each row's first
+true_length positions.
 """
 
 import numpy as np
@@ -16,11 +26,18 @@ from hypothesis import strategies as st
 from ipsdm.model import ModelConfig, backward, forward, init
 from ipsdm.tokenizer import CLS_ID, PAD_ID, SEP_ID, TokenSequence
 
+from oracles import padded_backward, padded_forward
+
 MAX_LEN = 16
 VOCAB = 40
 # Lengths below 8 change how numpy groups its sums, so they are drawn often,
 # as are the extremes 2 (cls + sep) and max_len (nothing to trim).
 lengths = st.sampled_from([2, 3, 5, 7, MAX_LEN]) | st.integers(2, MAX_LEN)
+# Batches of one, of equal lengths (nothing padded) and of mixed lengths.
+batch_lengths = (
+    st.lists(lengths, min_size=1, max_size=4)
+    | st.tuples(lengths, st.integers(1, 4)).map(lambda pair: [pair[0]] * pair[1])
+)
 
 
 def _sequence(rng, true_length):
@@ -84,3 +101,45 @@ def test_trimmed_pass_matches_full_length_pass(true_lengths, pooling, dtype, see
     for name, grad in grads.items():
         assert grad.dtype == dtype
         _assert_close(grad, full_grads[name], name)
+
+
+@given(
+    true_lengths=batch_lengths,
+    pooling=st.sampled_from(["first_token", "mean"]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    dropout_rate=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**16),
+)
+def test_packed_pass_matches_padded_oracle(true_lengths, pooling, dtype, dropout_rate, seed):
+    config = ModelConfig(
+        num_layers=2, num_heads=2, d_model=8, d_ff=16, max_len=MAX_LEN, vocab_size=VOCAB,
+        dropout_rate=dropout_rate, pooling=pooling,
+    )
+    params = _params(config, seed, dtype)
+    rng = np.random.default_rng(seed)
+    batch = [_sequence(rng, n) for n in true_lengths]
+    dlogits = rng.normal(size=(len(batch), config.num_labels)).astype(dtype)
+
+    logits, cache = forward(
+        params, batch, training=True, dropout_rng=np.random.default_rng(seed + 1))
+    grads = backward(params, cache, dlogits)
+    oracle_logits, oracle_cache = padded_forward(
+        params, batch, training=True, dropout_rng=np.random.default_rng(seed + 1))
+    oracle_grads = padded_backward(params, oracle_cache, dlogits)
+
+    per_token = ["x", "x1", "ctx_merged", "u", "xhat2"]
+    if dropout_rate > 0:
+        per_token += ["drop1", "drop2"]
+    for layer in cache.layers:
+        for key in per_token:
+            assert layer[key].shape[0] == sum(true_lengths), key
+    assert set(grads) == set(oracle_grads)
+    if len(set(true_lengths)) == 1:
+        assert np.array_equal(logits, oracle_logits)
+        for name, grad in grads.items():
+            assert np.array_equal(grad, oracle_grads[name]), name
+        return
+    _assert_close(logits, oracle_logits, "logits")
+    for name, grad in grads.items():
+        assert grad.dtype == dtype
+        _assert_close(grad, oracle_grads[name], name)
