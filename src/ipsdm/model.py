@@ -354,20 +354,17 @@ def _layer_norm_backward(dy, xhat, inv_std, scale):
 _ADVANCE_BY_DRAWS = (np.random.PCG64, np.random.PCG64DXSM)
 
 
-def _dropout_mask(rng, shape, rate, dtype, lengths, uniforms=None):
+def _dropout_mask(rng, shape, rate, dtype, lengths):
     """Inverted-dropout mask of each row's leading lengths[i] positions of a
     (rows, positions, ...) shape, the rows stacked: (sum(lengths),
     *shape[2:]). Those entries, and the point the stream is left at, are
     those of one draw for the whole shape, so neither depends on the
     lengths. A PCG64 generator (default_rng's) draws each row's kept
-    positions and advances past the rest; any other draws the whole shape.
-    uniforms, if given, is a float64 buffer of the mask's shape for the
-    draws."""
+    positions and advances past the rest; any other draws the whole shape."""
     positions = shape[1]
     lengths = [operator.index(n) for n in lengths]
     keep = np.dtype(dtype).type(1.0 - rate)
-    if uniforms is None:
-        uniforms = np.empty((sum(lengths), *shape[2:]))
+    uniforms = np.empty((sum(lengths), *shape[2:]))
     bit_generator = rng.bit_generator
     if all(n == positions for n in lengths):
         rng.random(out=uniforms)
@@ -381,6 +378,13 @@ def _dropout_mask(rng, shape, rate, dtype, lengths, uniforms=None):
     else:
         uniforms[...] = rng.random(shape)[np.arange(positions) < np.array(lengths)[:, None]]
     return (uniforms >= rate).astype(dtype) / keep
+
+
+def _real(key_mask: np.ndarray) -> Optional[np.ndarray]:
+    """The packed layout's gather mask: the (batch, T) key mask, or None
+    when no row is padded, so the packed rows are the flat (batch * T) ones
+    and nothing is gathered or scattered."""
+    return None if key_mask.all() else key_mask
 
 
 def _first_tokens(lengths: np.ndarray) -> np.ndarray:
@@ -405,10 +409,10 @@ def forward(
     a batch without padding (N = batch * T) does neither.
 
     Dropout is applied only when training=True (and dropout_rate > 0), drawing
-    masks from dropout_rng in a fixed order through one float64 buffer. Each
-    mask holds the real tokens' entries of one drawn for all max_len
-    positions, and leaves the stream where that draw would, so training
-    differs from the full-length computation only by rounding.
+    masks from dropout_rng in a fixed order. Each mask holds the real
+    tokens' entries of one drawn for all max_len positions, and leaves the
+    stream where that draw would, so training differs from the full-length
+    computation only by rounding.
     """
     config = params.config
     for seq in batch:
@@ -420,9 +424,7 @@ def forward(
     t = int(lengths.max())
     ids = np.array([seq.ids[:t] for seq in batch], dtype=np.int64)
     key_mask = np.arange(t) < lengths[:, None]
-    # None when no row is padded: the packed rows are then the flat
-    # (batch * T) ones, and nothing is gathered or scattered.
-    real = None if key_mask.all() else key_mask
+    real = _real(key_mask)
     tensors = params.tensors
     dtype = tensors["token_embedding"].dtype
     use_dropout = training and config.dropout_rate > 0.0
@@ -438,7 +440,6 @@ def forward(
     else:
         x = tensors["token_embedding"][ids[real]]
         x += tensors["position_embedding"][np.nonzero(real)[1]]
-    uniforms = np.empty(x.shape) if use_dropout else None
     cache = ForwardCache(ids=ids, key_mask=key_mask, params_version=params.version)
 
     for i in range(config.num_layers):
@@ -452,7 +453,7 @@ def forward(
         attn_out = ctx_merged @ tensors[f"{prefix}.attn.w_o"]
         if use_dropout:
             layer["drop1"] = _dropout_mask(
-                dropout_rng, padded_shape, config.dropout_rate, dtype, lengths, uniforms
+                dropout_rng, padded_shape, config.dropout_rate, dtype, lengths
             )
             attn_out *= layer["drop1"]
         attn_out += x
@@ -464,7 +465,7 @@ def forward(
         ff_out = gelu(u, erf_plus_one) @ tensors[f"{prefix}.ff.w2"]
         if use_dropout:
             layer["drop2"] = _dropout_mask(
-                dropout_rng, padded_shape, config.dropout_rate, dtype, lengths, uniforms
+                dropout_rng, padded_shape, config.dropout_rate, dtype, lengths
             )
             ff_out *= layer["drop2"]
         ff_out += x1
@@ -509,7 +510,7 @@ def backward(
     tensors = params.tensors
     grads = {name: np.zeros_like(t) for name, t in tensors.items()}
     key_mask = cache.key_mask
-    real = None if key_mask.all() else key_mask
+    real = _real(key_mask)
     lengths = key_mask.sum(axis=1)
     b, t = cache.ids.shape
     d, heads = config.d_model, config.num_heads
