@@ -271,6 +271,17 @@ def _file_sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _utf8_text(value: str, what: str) -> str:
+    """The value, unless it holds a lone surrogate and so cannot be written as
+    UTF-8. Python decodes an argv byte that is not UTF-8 to one (surrogateescape),
+    and JSON's "\\udcff" escape parses to one."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise InputError(f"{what} is not UTF-8 text: {err}") from None
+    return value
+
+
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -422,6 +433,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _config_from_args(args)
     checkpoint_path = Path(args.checkpoint) if args.checkpoint else config.path("model.ckpt")
+    model_name = _utf8_text(args.model_name or checkpoint_path.stem, "the model name")
     checkpoint = load_checkpoint(checkpoint_path)
     vocab = load_vocab(config.path("vocab.json"))
     corpus = read_split_csv(config.path(SPLIT_FILES[args.split]))
@@ -430,7 +442,6 @@ def cmd_evaluate(args) -> int:
         split_name=args.split,
         batch_size=config.training.val_batch_size,
     )
-    model_name = args.model_name or checkpoint_path.stem
     fragment = {"model": model_name, **scores.as_dict()}
     out_path = Path(args.out) if args.out else config.path(f"report_{args.split}.json")
     _write_json(out_path, fragment)
@@ -454,7 +465,7 @@ def cmd_classify(args) -> int:
     check_vocabulary(checkpoint, vocab)
     params = checkpoint.model_parameters()
     if args.text is not None:
-        texts = [args.text]
+        texts = [_utf8_text(args.text, "--text")]
     else:
         try:
             with open(args.file, encoding="utf-8") as fh:
@@ -493,6 +504,7 @@ def cmd_report(args) -> int:
         if not (isinstance(doc, dict) and isinstance(doc.get("model"), str)
                 and isinstance(doc.get("split"), str)):
             raise InputError(f"{path} lacks 'model'/'split' keys; not an evaluate output")
+        _utf8_text(doc["model"], f"{path} model {doc['model']!r}")
         if doc["split"] not in ("validation", "test"):
             raise InputError(f"{path} has split {doc['split']!r}, not validation or test")
         parts = by_model.setdefault(doc["model"], {})

@@ -46,12 +46,19 @@ class Vocabulary:
     merge_table: dict[tuple[int, int], tuple[int, int]] = field(
         init=False, repr=False, compare=False
     )
+    # The 256 x 256 junction table, flat: joinable[a << 8 | b] is 1 when some
+    # rule's left side ends in byte a and its right side starts with byte b.
+    # Only then can a merge join two tokens across the byte boundary a|b.
+    joinable: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.merge_table = {}
+        joinable = bytearray(256 * 256)
         for rank, (left, right) in enumerate(self.merges):
             pair = (self.token_to_id[left], self.token_to_id[right])
             self.merge_table.setdefault(pair, (rank, self.token_to_id[left + right]))
+            joinable[left[-1] << 8 | right[0]] = 1
+        self.joinable = bytes(joinable)
 
     @property
     def size(self) -> int:
@@ -83,9 +90,8 @@ class TokenSequence:
         return self.ids[1 : self.true_length - 1]
 
 
-def _text_to_byte_ids(text: str) -> list[int]:
-    data = unicodedata.normalize("NFC", text).encode("utf-8")
-    return [BYTE_BASE + b for b in data]
+def _nfc_bytes(text: str) -> bytes:
+    return unicodedata.normalize("NFC", text).encode("utf-8")
 
 
 def check_vocab_size(vocab_size: int) -> None:
@@ -123,7 +129,7 @@ def train_vocab(corpus: Corpus, vocab_size: int) -> Vocabulary:
     prev: list[int] = []
     nxt: list[int] = []
     for sample in corpus.samples:
-        doc = _text_to_byte_ids(sample.text)
+        doc = [BYTE_BASE + b for b in _nfc_bytes(sample.text)]
         start, end = len(ids), len(ids) + len(doc)
         ids.extend(doc)
         prev.extend(range(start - 1, end - 1))
@@ -257,10 +263,38 @@ def _apply_merges(vocab: Vocabulary, ids: list[int]) -> list[int]:
 
 def encode(vocab: Vocabulary, text: str, max_len: int = DEFAULT_MAX_LEN) -> TokenSequence:
     """Encode text as [cls] + merged byte tokens (truncated to max_len-2) + [sep],
-    padded to exactly max_len."""
+    padded to exactly max_len.
+
+    Only the kept tokens are merged. Two tokens that meet at the byte
+    boundary a|b can merge only through a rule whose left side ends in a
+    and whose right side starts with b, the rule's junction
+    (`Vocabulary.joinable`). Where no rule has that junction the boundary is
+    a cut point: nothing ever merges across it, so the bytes before it and
+    after it merge exactly as they would alone, and the two results join.
+    The NFC-normalized UTF-8 bytes are therefore merged chunk by chunk, and
+    the loop stops once max_len-2 ids are held. A chunk holds at least as
+    many bytes as ids are still missing, since a token holds at least one
+    byte, and ends at the first cut point from there on; when none comes
+    within max_len-2 more bytes, it runs to the text's end. The result
+    equals merging the whole text and then truncating.
+    """
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
-    content = _apply_merges(vocab, _text_to_byte_ids(text))[: max_len - 2]
+    keep = max_len - 2
+    data = _nfc_bytes(text)
+    joinable = vocab.joinable
+    content: list[int] = []
+    start = 0
+    while start < len(data) and len(content) < keep:
+        end = start + keep - len(content)
+        stop = min(end + keep, len(data))
+        while end < stop and joinable[data[end - 1] << 8 | data[end]]:
+            end += 1
+        if end >= stop:
+            end = len(data)
+        content += _apply_merges(vocab, [BYTE_BASE + b for b in data[start:end]])
+        start = end
+    content = content[:keep]
     ids = [CLS_ID] + content + [SEP_ID]
     true_length = len(ids)
     ids.extend([PAD_ID] * (max_len - true_length))

@@ -94,6 +94,14 @@ def lowest_rank_merges(merges: list[tuple[bytes, bytes]], data: bytes) -> list[b
         tokens = merge_pass(tokens, *merges[min(present)])
 
 
+def byte_pairs_inside(tokens) -> set[tuple[int, int]]:
+    """Every adjacent byte pair inside any of the tokens. For the tokens of a
+    merge list these are exactly its rules' junctions (left[-1], right[0]):
+    each pair inside a merged token is where one of the merges that built it
+    joined its two sides."""
+    return {pair for token in tokens for pair in zip(token, token[1:])}
+
+
 # ---------------------------------------------------------------------------
 # optimizer: straight-line scalar trace
 

@@ -445,8 +445,11 @@ _VALID_FRAGMENT = {"model": "m", "confusion_matrix": [[2, 0, 0], [0, 2, 0], [1, 
         (json.dumps({"model": "m", "split": "test",
                      "confusion_matrix": [[1, 0, 0], [0, 1.5, 0], [0, 0, 1]]}).encode(),
          "integer"),
+        (json.dumps({**_VALID_FRAGMENT, "model": "b\udcffd", "split": "test"}).encode(),
+         "model 'b\\udcffd' is not UTF-8 text"),
     ],
-    ids=["not-utf8", "json-list", "no-matrix", "2x2-matrix", "fractional-cell"],
+    ids=["not-utf8", "json-list", "no-matrix", "2x2-matrix", "fractional-cell",
+         "lone-surrogate-model"],
 )
 def test_report_rejects_each_malformed_fragment_naming_it(tmp_path, capsys, payload, named):
     config = tmp_path / "config.json"
@@ -727,6 +730,33 @@ def test_classify_file_that_is_not_utf8_exits_input(zero_head_checkpoint, tmp_pa
     err = capsys.readouterr().err
     assert f"{batch} is not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+def test_classify_text_that_is_not_utf8_exits_input(zero_head_checkpoint, capsys):
+    # Python decodes an argv byte that is not UTF-8 to a lone surrogate.
+    ckpt_path, vocab_path = zero_head_checkpoint
+    assert main([
+        "classify", "--checkpoint", str(ckpt_path), "--vocab", str(vocab_path),
+        "--text", os.fsdecode(b"caf\xff free cash"),
+    ]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error: --text is not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_model_name_that_is_not_utf8_exits_input_before_writing(
+    pipeline, tmp_path, capsys
+):
+    config, _ = pipeline
+    fragment = tmp_path / "fragment.json"
+    assert main([
+        "evaluate", "--config", str(config), "--model-name", os.fsdecode(b"b\xffd"),
+        "--out", str(fragment),
+    ]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error: the model name is not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert not fragment.exists()
 
 
 # ---------------------------------------------------------------------------
