@@ -17,7 +17,12 @@ product, GELU, layer norm, residual add and dropout multiply runs on real
 rows only. Attention alone works on a padded view, (batch, heads, T, d_head)
 with T the batch's longest true length, whose padded slots are zero and
 masked as keys. A batch without padding has N = batch * T and runs with no
-gather or scatter at all.
+gather or scatter, and no key mask, at all.
+
+Only the rows pooling reads reach the logits. So the last layer of a
+first-token model computes its keys and values from every real row, but its
+queries, attention output, layer norms, feed-forward and dropout on each
+sequence's first row alone: batch rows, not N.
 """
 
 import math
@@ -392,6 +397,28 @@ def _first_tokens(lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(lengths) - lengths
 
 
+def _query_rows(config: ModelConfig, layer: int, key_mask: np.ndarray):
+    """The packed rows that layer `layer` computes past its key and value
+    projections, as (rows, real, T) of its queries.
+
+    Every layer computes all real rows (rows None, with the key mask's real
+    and T), except the last layer of a first-token model: only each
+    sequence's first row reaches the logits, so that layer computes one
+    unpadded query per sequence (rows their packed indices, real None, T 1).
+    Its keys and values still cover every real row."""
+    if layer == config.num_layers - 1 and config.pooling == "first_token":
+        return _first_tokens(key_mask.sum(axis=1)), None, 1
+    return None, _real(key_mask), key_mask.shape[1]
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x.T @ g on one BLAS thread. Its sum runs over the rows, and OpenBLAS
+    adds a multi-threaded product's partial sums in another order, so
+    gradients, and the checkpoint, would follow the thread count."""
+    with single_thread():
+        return x.T @ g
+
+
 def forward(
     params: ModelParameters,
     batch: list[TokenSequence],
@@ -406,11 +433,14 @@ def forward(
     layer's activations as (N, d_model) matrices: the real tokens, row by
     row in batch order. Attention scatters q, k and v into zero-filled
     (batch, heads, T, d_head) arrays and gathers its context back to N rows;
-    a batch without padding (N = batch * T) does neither.
+    a batch without padding (N = batch * T) does neither. With first-token
+    pooling the last layer computes, past its key and value projections,
+    only each sequence's first row (see _query_rows), so its activations
+    after the input have batch rows and its probs (batch, heads, 1, T).
 
     Dropout is applied only when training=True (and dropout_rate > 0), drawing
-    masks from dropout_rng in a fixed order. Each mask holds the real
-    tokens' entries of one drawn for all max_len positions, and leaves the
+    masks from dropout_rng in a fixed order. Each mask holds the computed
+    rows' entries of one drawn for all max_len positions, and leaves the
     stream where that draw would, so training differs from the full-length
     computation only by rounding.
     """
@@ -442,21 +472,27 @@ def forward(
         x += tensors["position_embedding"][np.nonzero(real)[1]]
     cache = ForwardCache(ids=ids, key_mask=key_mask, params_version=params.version)
 
+    # Attention needs no key bias where no key is padded.
+    attn_mask = None if real is None else key_mask[:, None, :]
     for i in range(config.num_layers):
         prefix = f"layers.{i}"
         layer: dict = {"x": x}
-        q = _split_heads(_padded(x @ tensors[f"{prefix}.attn.w_q"], real, b, t), heads)
+        rows, q_real, q_t = _query_rows(config, i, key_mask)
+        # Each query row's dropout entries are its position's in the
+        # full-length draw: a first row's is position 0.
+        xq, q_lengths = (x, lengths) if rows is None else (x[rows], np.ones_like(lengths))
+        q = _split_heads(_padded(xq @ tensors[f"{prefix}.attn.w_q"], q_real, b, q_t), heads)
         k = _split_heads(_padded(x @ tensors[f"{prefix}.attn.w_k"], real, b, t), heads)
         v = _split_heads(_padded(x @ tensors[f"{prefix}.attn.w_v"], real, b, t), heads)
-        ctx, probs = attention(q, k, v, key_mask=key_mask[:, None, :])
-        ctx_merged = _merge_heads(ctx, real)
+        ctx, probs = attention(q, k, v, key_mask=attn_mask)
+        ctx_merged = _merge_heads(ctx, q_real)
         attn_out = ctx_merged @ tensors[f"{prefix}.attn.w_o"]
         if use_dropout:
             layer["drop1"] = _dropout_mask(
-                dropout_rng, padded_shape, config.dropout_rate, dtype, lengths
+                dropout_rng, padded_shape, config.dropout_rate, dtype, q_lengths
             )
             attn_out *= layer["drop1"]
-        attn_out += x
+        attn_out += xq
         x1, xhat1, inv_std1 = _layer_norm(
             attn_out, tensors[f"{prefix}.ln1.scale"], tensors[f"{prefix}.ln1.offset"]
         )
@@ -465,7 +501,7 @@ def forward(
         ff_out = gelu(u, erf_plus_one) @ tensors[f"{prefix}.ff.w2"]
         if use_dropout:
             layer["drop2"] = _dropout_mask(
-                dropout_rng, padded_shape, config.dropout_rate, dtype, lengths
+                dropout_rng, padded_shape, config.dropout_rate, dtype, q_lengths
             )
             ff_out *= layer["drop2"]
         ff_out += x1
@@ -483,7 +519,7 @@ def forward(
         x = x2
 
     if config.pooling == "first_token":
-        pooled = x[_first_tokens(lengths)]
+        pooled = x  # the last layer computed only the first rows
     else:
         counts = lengths[:, None].astype(dtype)
         pooled = _padded(x, real, b, t).sum(axis=1) / counts
@@ -497,8 +533,11 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of the loss w.r.t. every tensor, given d(loss)/d(logits).
 
-    Per-token gradients run on the cache's N real-token rows, attention's on
-    its padded view. Position-embedding rows at or past the cache's length T
+    Per-token gradients run on the rows forward computed, attention's on
+    its padded view; the last layer of a first-token model passes its query
+    rows' input gradient back to the first rows and its key and value
+    gradients to every row. Weight gradients do not depend on the BLAS
+    thread count. Position-embedding rows at or past the cache's length T
     get zero gradient.
     """
     if cache.params_version != params.version:
@@ -516,13 +555,12 @@ def backward(
     d, heads = config.d_model, config.num_heads
     scale = 1.0 / math.sqrt(d // heads)
 
-    grads["classifier.weight"] += cache.pooled.T @ dlogits
+    grads["classifier.weight"] += _weight_grad(cache.pooled, dlogits)
     grads["classifier.bias"] += dlogits.sum(axis=0)
     d_pooled = dlogits @ tensors["classifier.weight"].T
 
     if config.pooling == "first_token":
-        dx = np.zeros_like(cache.layers[0]["x"])
-        dx[_first_tokens(lengths)] = d_pooled
+        dx = d_pooled  # the last layer's output is the pooled rows
     else:
         counts = lengths[:, None].astype(d_pooled.dtype)
         dx = np.repeat(d_pooled / counts, lengths, axis=0)
@@ -531,6 +569,7 @@ def backward(
         prefix = f"layers.{i}"
         layer = cache.layers[i]
         x_in, x1 = layer["x"], layer["x1"]
+        rows, q_real, q_t = _query_rows(config, i, key_mask)
 
         dln2_in, dscale2, doffset2 = _layer_norm_backward(
             dx, layer["xhat2"], layer["inv_std2"], tensors[f"{prefix}.ln2.scale"]
@@ -541,9 +580,9 @@ def backward(
         dff_out = dln2_in * layer["drop2"] if "drop2" in layer else dln2_in
         du = dff_out @ tensors[f"{prefix}.ff.w2"].T
         u, erf_plus_one = layer["u"], layer["erf_plus_one"]
-        grads[f"{prefix}.ff.w2"] += gelu_from(u, erf_plus_one).T @ dff_out
+        grads[f"{prefix}.ff.w2"] += _weight_grad(gelu_from(u, erf_plus_one), dff_out)
         du *= gelu_grad(u, erf_plus_one)
-        grads[f"{prefix}.ff.w1"] += x1.T @ du
+        grads[f"{prefix}.ff.w1"] += _weight_grad(x1, du)
         dx1 = du @ tensors[f"{prefix}.ff.w1"].T
         dx1 += dln2_in
 
@@ -554,9 +593,9 @@ def backward(
         grads[f"{prefix}.ln1.offset"] += doffset1
 
         dattn_out = dln1_in * layer["drop1"] if "drop1" in layer else dln1_in
-        dctx = _padded(dattn_out @ tensors[f"{prefix}.attn.w_o"].T, real, b, t)
+        dctx = _padded(dattn_out @ tensors[f"{prefix}.attn.w_o"].T, q_real, b, q_t)
         dctx = _split_heads(dctx, heads)
-        grads[f"{prefix}.attn.w_o"] += layer["ctx_merged"].T @ dattn_out
+        grads[f"{prefix}.attn.w_o"] += _weight_grad(layer["ctx_merged"], dattn_out)
 
         probs, q, k, v = layer["probs"], layer["q"], layer["k"], layer["v"]
         dv = np.swapaxes(probs, -1, -2) @ dctx
@@ -570,11 +609,21 @@ def backward(
         dk = np.swapaxes(dscores, -1, -2) @ q
         dk *= scale
 
-        dx = dln1_in  # no longer read, so the sum can build in place
-        for name, g in (("w_q", dq), ("w_k", dk), ("w_v", dv)):
+        # The query rows' input gradient: residual plus query path.
+        dxq = dln1_in  # no longer read, so the sum can build in place
+        g = _merge_heads(dq, q_real)
+        xq = x_in if rows is None else x_in[rows]
+        grads[f"{prefix}.attn.w_q"] += _weight_grad(xq, g)
+        dxq += g @ tensors[f"{prefix}.attn.w_q"].T
+        if rows is None:
+            dx = dxq
+        else:
+            dx = np.zeros_like(x_in)
+            dx[rows] = dxq
+        for name, g in (("w_k", dk), ("w_v", dv)):
             g = _merge_heads(g, real)
             weight = f"{prefix}.attn.{name}"
-            grads[weight] += x_in.T @ g
+            grads[weight] += _weight_grad(x_in, g)
             dx += g @ tensors[weight].T
 
     grads["position_embedding"][:t] += _padded(dx, real, b, t).sum(axis=0)

@@ -336,12 +336,16 @@ def train(
                 adamw_step(params.tensors, grads, opt_state, config.optimizer, learning_rate=step_lr)
                 params.version += 1
                 loss_sum += loss * len(batch_indices)
+            # An update can leave finite gradients but parameters that
+            # overflow on the next forward, which may be this one.
+            val_loss, val_preds = _eval_pass(params, val_seqs, val_labels, config.val_batch_size)
+            if not math.isfinite(val_loss):
+                raise NonFiniteInput(f"validation loss became {val_loss}")
         except (NonFiniteInput, NonFiniteGradient) as err:
             raise DivergedLoss(
                 f"training diverged in epoch {epoch}: {err}", checkpoint=snapshot(False)
             ) from err
 
-        val_loss, val_preds = _eval_pass(params, val_seqs, val_labels, config.val_batch_size)
         val_matrix = confusion(val_labels.tolist(), val_preds)
         val_accuracy = score(val_matrix).accuracy
         record = EpochRecord(

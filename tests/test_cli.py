@@ -563,6 +563,30 @@ def test_train_divergence_exits_with_numeric_code(tmp_path, capsys):
     assert not (out / "model.ckpt").exists()
 
 
+def test_train_divergence_first_seen_in_validation_exits_with_numeric_code(tmp_path, capsys):
+    """A learning rate of 1e20 makes one full-batch update that a training
+    step passes but the validation pass overflows: still exit 3 with the
+    checkpoint written, not an input error."""
+    corpus = make_separable_corpus({Label.ham: 8, Label.spam: 6, Label.phishing: 6}, seed=2)
+    source = _write_source_csv(tmp_path / "mail.csv", corpus)
+    out = tmp_path / "out"
+    config = _write_config(
+        tmp_path / "config.json", [source], out, balance={"enabled": False},
+        training={"train_batch_size": 64, "num_epochs": 2, "seed": 0,
+                  "optimizer": {"learning_rate": 1e20}},
+    )
+    assert main(["prepare", "--config", str(config)]) == EXIT_OK
+    assert main(["tokenizer-train", "--config", str(config)]) == EXIT_OK
+
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(config)]) == EXIT_NUMERIC
+    assert "numeric failure" in capsys.readouterr().err
+    assert (out / "model.diverged.ckpt").exists()
+    assert not (out / "model.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # classify
 

@@ -34,7 +34,7 @@ from ipsdm.model import (
     init,
     predict,
 )
-from ipsdm.tokenizer import Vocabulary, encode
+from ipsdm.tokenizer import CLS_ID, PAD_ID, SEP_ID, TokenSequence, Vocabulary, encode
 
 from oracles import dense_attention, finite_difference_gradient, full_length_dropout_mask
 
@@ -165,13 +165,17 @@ def test_attention_matches_dense_oracle():
     q = rng.normal(size=(3, 4))
     k = rng.normal(size=(5, 4))
     v = rng.normal(size=(5, 4))
-    for mask in (None, np.array([True, True, False, True, False])):
+    unmasked = attention(q, k, v)
+    for mask in (None, np.ones(5, dtype=bool), np.array([True, True, False, True, False])):
         out, probs = attention(q, k, v, key_mask=mask)
         exp_out, exp_probs = dense_attention(q, k, v, key_mask=mask)
         np.testing.assert_allclose(probs, exp_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out, exp_out, rtol=0, atol=1e-12)
         live = probs.sum(axis=-1)
         np.testing.assert_allclose(live, 1.0, atol=1e-6)
+        if mask is not None and mask.all():
+            # forward drops the key mask of an unpadded batch: no bit moves.
+            assert np.array_equal(out, unmasked[0]) and np.array_equal(probs, unmasked[1])
 
 
 def test_attention_batched_heads_match_oracle():
@@ -287,9 +291,11 @@ def test_forward_dropout_reproducible_and_off_at_eval():
 
 
 def test_dropout_masks_follow_the_full_length_stream():
-    """Masks hold only the real tokens, row by row, of masks drawn for all
+    """Masks hold only the computed rows, row by row, of masks drawn for all
     max_len positions, so a short batch consumes the same uniforms as the
-    full-length computation and each real token keeps its entry of them."""
+    full-length computation and each computed row keeps its entry of them:
+    every real token below the last layer, and in the last layer of a
+    first-token model each sequence's first."""
     config = ModelConfig(2, 2, 8, 16, 12, 280, dropout_rate=0.5)
     params = init(config, seed=0)
     batch = _batch(["free cash", "hi", "team"])
@@ -299,10 +305,11 @@ def test_dropout_masks_follow_the_full_length_stream():
     rng = np.random.default_rng(4)
     _, cache = forward(params, batch, training=True, dropout_rng=rng)
     reference = np.random.default_rng(4)
-    for layer in cache.layers:
+    for i, layer in enumerate(cache.layers):
         for key in ("drop1", "drop2"):
             full = full_length_dropout_mask(reference, (len(batch), 12, 8), 0.5, np.float32)
-            assert np.array_equal(layer[key], full[real]), key
+            expected = full[:, 0] if i == config.num_layers - 1 else full[real]
+            assert np.array_equal(layer[key], expected), (i, key)
     assert rng.random() == reference.random()
 
 
@@ -639,3 +646,37 @@ def test_single_thread_restores_once_the_outermost_block_exits(monkeypatch):
     monkeypatch.setattr(blas, "_openblas", None)
     with blas.single_thread():
         pass  # no OpenBLAS found: a no-op
+
+
+def test_gradients_do_not_depend_on_the_blas_thread_count():
+    """One training step of the CLI's default model on a short-text batch
+    gives bit-equal gradients at one and two OpenBLAS threads, so a
+    checkpoint does not depend on the machine's thread count. A weight
+    gradient sums over the rows, and a two-thread OpenBLAS product adds its
+    partial sums in another order."""
+    if blas._openblas is None:
+        pytest.skip("numpy's OpenBLAS was not found")
+    get, set_ = blas._openblas
+    config = ModelConfig(2, 4, 128, 256, 128, 1024)
+    params = init(config, seed=0)
+    rng = np.random.default_rng(0)
+    batch = [
+        TokenSequence(ids=[CLS_ID, *rng.integers(4, 1024, n - 2).tolist(), SEP_ID]
+                      + [PAD_ID] * (config.max_len - n), true_length=int(n))
+        for n in rng.integers(8, 30, size=32)
+    ]
+    dlogits = rng.normal(size=(32, 3)).astype(np.float32)
+    saved = get()
+    grads = []
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            if get() != threads:
+                pytest.skip(f"OpenBLAS would not run {threads} threads")
+            _, cache = forward(params, batch, training=True,
+                               dropout_rng=np.random.default_rng(1))
+            grads.append(backward(params, cache, dlogits))
+    finally:
+        set_(saved)
+    for name, grad in grads[0].items():
+        assert np.array_equal(grad, grads[1][name]), name

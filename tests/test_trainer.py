@@ -270,6 +270,23 @@ def test_train_divergence_raises_with_checkpoint():
     assert err.checkpoint.history[-1].epoch == len(err.checkpoint.history)
 
 
+def test_train_divergence_first_seen_in_validation_raises_with_checkpoint():
+    """One full-batch update at learning rate 1e20 leaves finite gradients
+    but parameters near 1e20, whose products overflow float32 in the
+    epoch's validation pass: that is a divergence, as in a training step."""
+    corpus, vocab, config = _training_setup(
+        {Label.ham: 4, Label.spam: 3, Label.phishing: 3},
+        train_batch_size=10,
+        num_epochs=2,
+        optimizer=OptimizerHyperparams(learning_rate=1e20, variant="decoupled"),
+    )
+    with pytest.raises(DivergedLoss, match="in epoch 1: .*non-finite") as excinfo:
+        with np.errstate(all="ignore"):
+            train(config, corpus, corpus, vocab)
+    assert isinstance(excinfo.value.checkpoint, Checkpoint)
+    assert excinfo.value.checkpoint.history == []
+
+
 def test_train_bit_identical_across_runs():
     corpus, vocab, config = _training_setup(
         {Label.ham: 5, Label.spam: 5},
