@@ -9,12 +9,14 @@ from ipsdm.balance import CountVector, balance_corpus, plan_adasyn, synthesize_d
 from ipsdm.corpus import Corpus, Label, LabeledEmail
 from ipsdm.tokenizer import encode, train_vocab
 
-# Two clusters of "ham" and a small "spam" group. One spam point sits right
-# next to the ham cluster (hard), the other two are far away (easy).
+# Each sample is how often it uses three words, say "meeting", "free" and
+# "claim"; neighbours are ranked by the angle between these count vectors.
+# Six "ham" samples and a small "spam" group. One spam sample points almost
+# where the ham cluster points (hard), the other two far away (easy).
 POINTS = [
-    (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (2.0, 2.0), (3.0, 1.0), (3.0, 2.0),  # ham
-    (3.5, 1.5),   # spam, embedded in the ham cluster
-    (10.0, 10.0), (11.0, 10.0),  # spam, isolated pair
+    (5, 1, 0), (4, 1, 0), (6, 1, 0), (5, 2, 0), (3, 1, 0), (4, 2, 0),  # ham
+    (4, 1, 1),   # spam, embedded in the ham cluster
+    (0, 1, 5), (0, 2, 5),  # spam, isolated pair
 ]
 LABELS = [Label.ham] * 6 + [Label.spam] * 3
 
@@ -35,7 +37,10 @@ SPAM_TEXTS = [
 
 def main():
     # -- geometric view -----------------------------------------------------
-    vectors = [CountVector((0, 1), point) for point in POINTS]
+    vectors = [
+        CountVector(tuple(i for i, c in enumerate(point) if c), tuple(c for c in point if c))
+        for point in POINTS
+    ]
     plan = plan_adasyn(vectors, LABELS, k=3, beta=1.0)
 
     print(f"majority class: {Label(plan.majority_label).name}")
@@ -43,8 +48,7 @@ def main():
           f"{{ {', '.join(f'{Label(c).name}: {g}' for c, g in plan.targets)} }}")
     print("\nper-sample allocation (r = other-class share of the neighborhood):")
     for item in plan.items:
-        x, y = POINTS[item.sample_index]
-        print(f"  sample {item.sample_index} at ({x:4.1f}, {y:4.1f}): "
+        print(f"  sample {item.sample_index} counts {POINTS[item.sample_index]}: "
               f"r={item.r:.3f}  r_hat={item.r_hat:.3f}  -> {item.g} synthetic(s)")
 
     embedded = next(i for i in plan.items if i.sample_index == 6)

@@ -2,12 +2,13 @@
 
 Everything here is deliberately written by a different route than the library
 code it checks: full recounts instead of incremental bookkeeping, scalar
-Python loops instead of vectorized numpy, dense matrices instead of sparse
-ones, every padded position instead of packed real tokens. Slow and simple
+Python loops instead of vectorized numpy, exact fractions instead of rounded
+floats, every padded position instead of packed real tokens. Slow and simple
 on purpose.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -372,32 +373,40 @@ def tally_scores(counts):
 
 
 # ---------------------------------------------------------------------------
-# oversampling plan: exhaustive pairwise distances
+# oversampling plan: exhaustive pairwise cosines, in exact fractions
 
 
 def exhaustive_adasyn_plan(points, labels, k: int, beta: float):
-    """Reference allocation: dense points, all pairwise Euclidean distances
-    enumerated, neighbors sorted by (distance, index), self excluded.
+    """Reference allocation over non-negative integer count vectors (dense
+    sequences): every pair's cosine enumerated in exact fractions, neighbors
+    sorted by (distance, index), self and zero vectors excluded.
 
-    Returns {class: (G, {sample_index: (r, r_hat, g, same)})} for each
-    minority class, where same is the sample's first k same-class neighbors
-    in that order, ranked among the class members alone. Rounding is
-    half-up, matching the documented convention.
+    The distance between L2-normalized vectors falls as their cosine rises,
+    so neighbors rank by cos**2 = <a, b>**2 / (|a|**2 |b|**2), descending,
+    kept as a Fraction: nothing is rounded. Returns {class: (G, {sample_index:
+    (r, r_hat, g, same)})} for each minority class, where same is the
+    sample's first k same-class neighbors in that order, ranked among the
+    class members alone; a class with G = 0 or no non-zero member allocates
+    nothing. Rounding is half-up, matching the documented convention.
     """
-    points = [np.asarray(p, dtype=np.float64) for p in points]
+    points = [[int(x) for x in p] for p in points]
     n = len(points)
     counts: dict[int, int] = {}
     for label in labels:
         counts[label] = counts.get(label, 0) + 1
     m_maj = max(counts.values())
+    nonzero = [i for i in range(n) if any(points[i])]
 
     def half_up(x):
         return int(math.floor(x + 0.5))
 
+    def dot(i, j):
+        return sum(a * b for a, b in zip(points[i], points[j]))
+
     def neighbors_of(i, candidates):
         ranked = sorted(
             candidates,
-            key=lambda j: (float(np.sqrt(np.sum((points[i] - points[j]) ** 2))), j),
+            key=lambda j: (-Fraction(dot(i, j) ** 2, dot(i, i) * dot(j, j)), j),
         )
         return ranked[:k]
 
@@ -406,17 +415,18 @@ def exhaustive_adasyn_plan(points, labels, k: int, beta: float):
         if counts[c] >= m_maj:
             continue
         g_total = half_up(beta * (m_maj - counts[c]))
-        members = [i for i in range(n) if labels[i] == c]
-        rs = {}
-        for i in members:
-            near = neighbors_of(i, [j for j in range(n) if j != i])
-            rs[i] = sum(1 for j in near if labels[j] != c) / k
-        total_r = sum(rs.values())
+        members = [i for i in nonzero if labels[i] == c]
         allocation = {}
-        for i in members:
-            r_hat = rs[i] / total_r if total_r > 0 else 1.0 / len(members)
-            same = tuple(neighbors_of(i, [j for j in members if j != i]))
-            allocation[i] = (rs[i], r_hat, half_up(r_hat * g_total), same)
+        if g_total > 0 and members:
+            rs = {}
+            for i in members:
+                near = neighbors_of(i, [j for j in nonzero if j != i])
+                rs[i] = sum(1 for j in near if labels[j] != c) / k
+            total_r = sum(rs.values())
+            for i in members:
+                r_hat = rs[i] / total_r if total_r > 0 else 1.0 / len(members)
+                same = tuple(neighbors_of(i, [j for j in members if j != i]))
+                allocation[i] = (rs[i], r_hat, half_up(r_hat * g_total), same)
         result[c] = (g_total, allocation)
     return result
 

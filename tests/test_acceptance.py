@@ -190,13 +190,14 @@ def test_criterion_3_metrics_match_brute_force_tally():
 
 
 def _dense_to_vectors(points):
-    return [CountVector((0, 1), (float(x), float(y))) for x, y in points]
+    """2-D integer points as count vectors of ids 0 and 1."""
+    return [CountVector((0, 1), (x, y)) for x, y in points]
 
 
 def test_criterion_4_oversampling_plan_matches_exhaustive_oracle():
     """The allocation plan (r, r_hat, g, G and each sample's same-class
-    neighbors) matches an exhaustive pairwise distance oracle exactly on
-    fixed 2-D fixtures, and balancing drives every class to within one
+    neighbors) matches an exhaustive, exact pairwise cosine oracle on fixed
+    2-D count fixtures, and balancing drives every class to within one
     original minority size of the majority count."""
     two_class = (
         [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (10, 10), (11, 10)],
@@ -234,7 +235,7 @@ def test_criterion_4_oversampling_plan_matches_exhaustive_oracle():
         after = balanced.class_counts[label]
         assert abs(after - majority) <= before, (label, before, after, majority)
 
-    _report(4, "allocation plans equal the exhaustive oracle on 2-D fixtures; "
+    _report(4, "allocation plans equal the exact exhaustive oracle on 2-D count fixtures; "
                "balanced counts land within one minority size of the majority")
 
 

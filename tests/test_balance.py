@@ -1,10 +1,11 @@
 """Minority oversampling: count vectors, neighbor-driven allocation, splicing.
 
 Allocation tests compare against ``oracles.exhaustive_adasyn_plan``, which
-ranks neighbors by brute-force square-root distances over dense points; the
-library route uses sparse Gram-matrix algebra. Integer-coordinate fixtures
-keep both routes exact, so comparisons are ==, not approx; a hypothesis
-property draws such fixtures on a small grid, where equal distances abound.
+ranks neighbors by exact cosines, as fractions, of dense count vectors; the
+library route ranks by rounded ratios from a float64 matrix product. Every
+fixture is a vector of integer counts, small enough that both routes order
+exactly, so comparisons are ==, not approx; hypothesis properties draw such
+fixtures where equal distances abound.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ipsdm.balance as balance_module
+from ipsdm import blas
 from ipsdm.balance import (
     DEFAULT_BETA,
     DEFAULT_K,
@@ -36,15 +38,19 @@ from conftest import make_separable_corpus
 from oracles import exhaustive_adasyn_plan
 
 
-def _point(x, y):
-    """Embed a 2-D point as a sparse count vector on indices (0, 1)."""
-    return CountVector(indices=(0, 1), values=(float(x), float(y)))
+def _point(*counts):
+    """A dense row of integer counts as a sparse count vector; the 2-D
+    fixtures count ids 0 and 1. An all-zero row is the zero vector."""
+    return CountVector(
+        indices=tuple(i for i, c in enumerate(counts) if c),
+        values=tuple(int(c) for c in counts if c),
+    )
 
 
 def _unit(index):
-    """A unit vector on a single axis; pairwise squared distance is exactly
-    0 (same axis) or 2 (different axes)."""
-    return CountVector(indices=(index,), values=(1.0,))
+    """One occurrence of a single id; two such vectors have cosine exactly 1
+    (same id) or 0 (different ids)."""
+    return CountVector(indices=(index,), values=(1,))
 
 
 def _windows(corpus, vocab, max_len=128):
@@ -75,7 +81,7 @@ TWELVE_LABELS = [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
 
 
 def _plan_matches_oracle(points, labels, k, beta):
-    vectors = [_point(x, y) for x, y in points]
+    vectors = [_point(*p) for p in points]
     plan = plan_adasyn(vectors, labels, k=k, beta=beta)
     expected = exhaustive_adasyn_plan(points, labels, k=k, beta=beta)
 
@@ -96,16 +102,28 @@ def _plan_matches_oracle(points, labels, k, beta):
     return plan
 
 
+def _plan_matches_oracle_or_too_few(points, labels, k):
+    """As _plan_matches_oracle at beta 1; but when some class is short of
+    the majority and the non-zero vectors number k or fewer, planning must
+    refuse."""
+    short = len(set(Counter(labels).values())) > 1
+    if short and sum(1 for p in points if any(p)) <= k:
+        with pytest.raises(TooFewSamples):
+            plan_adasyn([_point(*p) for p in points], labels, k=k)
+    else:
+        _plan_matches_oracle(points, labels, k=k, beta=1.0)
+
+
 # ---------------------------------------------------------------------------
 # vectorize
 
 
-def test_vectorize_repeated_token_is_unit_spike():
+def test_vectorize_counts_a_repeated_token():
     corpus = _simple_corpus(["aa"], [0])
     vocab = Vocabulary.from_merges([])
     (vec,) = vectorize(_windows(corpus, vocab))
     assert vec.indices == (4 + ord("a"),)
-    assert vec.values == (1.0,)
+    assert vec.values == (2,)
     assert not vec.is_zero
 
 
@@ -113,15 +131,16 @@ def test_vectorize_two_distinct_tokens():
     corpus = _simple_corpus(["ab"], [0])
     (vec,) = vectorize(_windows(corpus, Vocabulary.from_merges([])))
     assert vec.indices == (4 + ord("a"), 4 + ord("b"))
-    assert vec.values == pytest.approx((1 / math.sqrt(2), 1 / math.sqrt(2)))
+    assert vec.values == (1, 1)
 
 
-def test_vectorize_is_l2_normalized(tiny_corpus):
+def test_vectorize_values_are_token_counts(tiny_corpus):
     vocab = train_vocab(tiny_corpus, vocab_size=280)
-    for vec in vectorize(_windows(tiny_corpus, vocab)):
-        assert sum(v * v for v in vec.values) == pytest.approx(1.0, abs=1e-12)
+    windows = _windows(tiny_corpus, vocab)
+    for vec, window in zip(vectorize(windows), windows):
         assert list(vec.indices) == sorted(set(vec.indices))
-        assert all(v > 0 for v in vec.values)
+        assert dict(zip(vec.indices, vec.values)) == Counter(window)
+        assert all(type(v) is int for v in vec.values)
 
 
 def test_vectorize_counts_only_truncation_window():
@@ -180,30 +199,44 @@ def test_plan_matches_oracle_on_text_vectors(imbalanced_corpus):
     dim = 1 + max(vec.indices[-1] for vec in vectors)
     dense = []
     for vec in vectors:
-        row = np.zeros(dim)
-        row[list(vec.indices)] = vec.values
+        row = [0] * dim
+        for i, count in zip(vec.indices, vec.values):
+            row[i] = count
         dense.append(row)
+    assert [_point(*row) for row in dense] == vectors
     labels = [int(s.label) for s in imbalanced_corpus.samples]
-    plan = plan_adasyn(vectors, labels, k=5, beta=1.0)
-    expected = exhaustive_adasyn_plan(dense, labels, k=5, beta=1.0)
-    assert dict(plan.targets) == {c: g for c, (g, _) in expected.items()}
-    items = {item.sample_index: item for item in plan.items}
-    for c, (_, allocation) in expected.items():
-        for i, (r, r_hat, g, _) in allocation.items():
-            assert items[i].r == r
-            assert items[i].g == g
+    _plan_matches_oracle(dense, labels, k=5, beta=1.0)
+
+
+def _tied_labels(draw):
+    """Labels with every drawn class present at least twice."""
+    classes = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=3, max_size=6))
+    extra = draw(st.lists(st.sampled_from(classes), max_size=6))
+    return draw(st.permutations(classes * 2 + extra))
 
 
 @st.composite
 def tied_grids(draw):
-    """Points on a 4 x 4 integer grid, so squared distances are exact and
-    often equal (coincident points included), with every class present at
-    least twice and k below the point count."""
-    classes = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=3, max_size=6))
-    extra = draw(st.lists(st.sampled_from(classes), max_size=6))
-    labels = draw(st.permutations(classes * 2 + extra))
+    """Counts of two ids on a 4 x 4 grid, so that many points are parallel
+    (equal distances, coincident points included), and (0, 0) is the zero
+    vector."""
+    labels = _tied_labels(draw)
     cell = st.tuples(st.integers(0, 3), st.integers(0, 3))
     points = draw(st.lists(cell, min_size=len(labels), max_size=len(labels)))
+    return points, labels, draw(st.integers(1, 4))
+
+
+@st.composite
+def tied_count_vectors(draw):
+    """Integer multiples, 0 to 4, of a few base directions over four ids:
+    multiples of one base are equidistant from every vector, and multiple 0
+    is the zero vector."""
+    base = st.lists(st.integers(0, 2), min_size=4, max_size=4).filter(any)
+    bases = draw(st.lists(base, min_size=1, max_size=3))
+    labels = _tied_labels(draw)
+    row = st.tuples(st.sampled_from(bases), st.integers(0, 4)).map(
+        lambda pair: [pair[1] * c for c in pair[0]])
+    points = draw(st.lists(row, min_size=len(labels), max_size=len(labels)))
     return points, labels, draw(st.integers(1, 4))
 
 
@@ -211,8 +244,51 @@ def tied_grids(draw):
 def test_plan_matches_oracle_on_tied_grids(case):
     """Ties in distance break by sample index, for r and for the same-class
     neighbors alike, and a sample is never its own neighbor."""
-    points, labels, k = case
-    _plan_matches_oracle(points, labels, k=k, beta=1.0)
+    _plan_matches_oracle_or_too_few(*case)
+
+
+@given(case=tied_count_vectors())
+def test_plan_matches_oracle_on_tied_count_vectors(case):
+    """As on the grids, in four dimensions, with zero vectors mixed in."""
+    _plan_matches_oracle_or_too_few(*case)
+
+
+def test_plan_orders_parallel_neighbors_by_sample_index():
+    """Samples 5 and 6 count (1, 2, 1) seven and three times, so they lie at
+    one distance from sample 7 and rank by index. Their L2-normalized floats
+    differ by rounding, which ordered 6 first when distances were taken
+    between them."""
+    counts = [[9, 18, 9], [0, 18, 12], [4, 8, 4], [2, 4, 2], [0, 9, 6],
+              [7, 14, 7], [3, 6, 3], [3, 4, 2]]
+    plan = _plan_matches_oracle(counts, [0, 0, 0, 0, 0, 1, 1, 1], k=2, beta=1.0)
+    (item,) = [item for item in plan.items if item.sample_index == 7]
+    assert item.same_class_neighbors == (5, 6)
+
+
+def test_plan_does_not_depend_on_the_blas_thread_count():
+    """The dot products run through a BLAS matrix product, which adds its
+    partial sums in another order on two threads. Integer counts keep every
+    partial sum exact, so the plan for a 300-sample text corpus is the same
+    on one OpenBLAS thread as on two."""
+    if blas._openblas is None:
+        pytest.skip("numpy's OpenBLAS was not found")
+    get, set_ = blas._openblas
+    corpus = make_separable_corpus({Label.ham: 150, Label.spam: 100, Label.phishing: 50}, seed=21)
+    vocab = train_vocab(corpus, vocab_size=300)
+    vectors = vectorize(_windows(corpus, vocab))
+    labels = [int(s.label) for s in corpus.samples]
+    saved = get()
+    try:
+        set_(2)
+        if get() != 2:
+            pytest.skip("OpenBLAS would not run 2 threads")
+        outside = plan_adasyn(vectors, labels)
+        with blas.single_thread():
+            inside = plan_adasyn(vectors, labels)
+    finally:
+        set_(saved)
+    assert not outside.is_empty
+    assert inside == outside
 
 
 def test_plan_r_hat_sums_to_one_per_class():
@@ -230,10 +306,13 @@ def test_plan_total_synthetic_near_target():
 
 
 def test_plan_uniform_fallback_when_no_class_mixing():
-    # Minority cluster far from the majority and k small enough that every
-    # neighborhood is pure: all r are 0 and the allocation spreads evenly.
-    points = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2)]
-    points += [(100, 100), (101, 100), (100, 101), (101, 101)]
+    # The minority counts ids the majority never uses, so every minority
+    # vector is nearer its own class than any majority one, and k is small
+    # enough that every neighborhood is pure: all r are 0 and the allocation
+    # spreads evenly.
+    points = [(1, 0), (3, 1), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2)]
+    points = [p + (0, 0) for p in points]
+    points += [(0, 0, 1, 1), (0, 0, 2, 1), (0, 0, 1, 2), (0, 0, 2, 3)]
     labels = [0] * 8 + [1] * 4
     plan = plan_adasyn([_point(*p) for p in points], labels, k=3, beta=1.0)
     minority_items = [item for item in plan.items if item.label == 1]
@@ -245,15 +324,16 @@ def test_plan_uniform_fallback_when_no_class_mixing():
 
 
 def test_plan_neighbor_ties_break_by_sample_index():
-    # Unit-axis vectors: colocated pairs are at distance exactly 0, all
-    # others exactly 2, so every ranking decision is a tie broken by index.
+    # Single-id vectors: those on one id are at distance exactly 0, all
+    # others at one equal distance, so every ranking decision is a tie
+    # broken by index.
     vectors = [_unit(10), _unit(10), _unit(10), _unit(20), _unit(20), _unit(20), _unit(20)]
     labels = [1, 1, 1, 0, 0, 0, 0]
     plan = plan_adasyn(vectors, labels, k=3, beta=1.0)
     by_index = {item.sample_index: item for item in plan.items}
     assert set(by_index) == {0, 1, 2}
     # k nearest of sample 0: colocated 1 and 2 first, then the index-lowest
-    # of the distance-2 candidates -> one foreign neighbor in three.
+    # of the farther candidates -> one foreign neighbor in three.
     for i in (0, 1, 2):
         assert by_index[i].r == pytest.approx(1 / 3)
     assert by_index[0].same_class_neighbors == (1, 2)
