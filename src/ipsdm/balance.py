@@ -17,12 +17,11 @@ from itertools import chain
 
 import numpy as np
 
+from .config import DEFAULT_BETA, DEFAULT_K, check_params
 from .corpus import Corpus, Label, LabeledEmail
 from .errors import NothingToBalance, TooFewSamples
 from .tokenizer import DEFAULT_MAX_LEN, Vocabulary, decode, encode
 
-DEFAULT_K = 5
-DEFAULT_BETA = 1.0
 SYNTHETIC_SOURCE_ID = "adasyn"
 
 
@@ -90,13 +89,6 @@ def vectorize(windows: list[list[int]]) -> list[CountVector]:
     return out
 
 
-def check_params(k: int, beta: float) -> None:
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-
-
 def plan_adasyn(
     vectors: list[CountVector],
     labels: list[int],
@@ -149,16 +141,18 @@ def plan_adasyn(
         raise TooFewSamples(
             f"{len(valid)} non-empty samples cannot support k={k} neighbors"
         )
-    # The valid rows as a dense count matrix over the ids that occur.
+    valid_labels = np.array([labels[i] for i in valid])
     rows = np.repeat(np.arange(len(valid)), [len(vectors[i].indices) for i in valid])
     ids = np.fromiter(chain.from_iterable(vectors[i].indices for i in valid), np.int64, len(rows))
     values = np.fromiter(chain.from_iterable(vectors[i].values for i in valid), np.float64, len(rows))
-    used, columns = np.unique(ids, return_inverse=True)
-    matrix = np.zeros((len(valid), len(used)))
-    matrix[rows, columns] = values
     sq_norms = np.bincount(rows, weights=values * values, minlength=len(valid))
-
-    valid_labels = np.array([labels[i] for i in valid])
+    # The valid rows as a dense count matrix over the ids that some minority
+    # member uses. Only minority members' dot products are taken, and an id
+    # that one lacks adds nothing to them; the norms above count every id.
+    used = np.unique(ids[np.isin(valid_labels, minority)[rows]])
+    kept = np.isin(ids, used)
+    matrix = np.zeros((len(valid), len(used)))
+    matrix[rows[kept], np.searchsorted(used, ids[kept])] = values[kept]
 
     targets = []
     items: list[PlanItem] = []

@@ -17,6 +17,7 @@ codes: 0 success, 2 input error, 3 numeric failure, 64 usage error.
 
 import argparse
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from . import __version__
-from .balance import DEFAULT_BETA, DEFAULT_K, balance_corpus, balance_report, check_params
+from .config import DEFAULT_BETA, DEFAULT_K, ModelConfig, TrainingConfig, check_params
 from .corpus import (
     DEFAULT_LABEL_COLUMN,
     DEFAULT_TEXT_COLUMN,
@@ -48,26 +49,17 @@ from .errors import (
     UsageError,
 )
 from .metrics import (
+    OVERFIT_GAP_THRESHOLD,
     ModelReport,
     SplitScores,
     emit_report_csv,
     emit_report_json,
+    gap_warns,
     render_report_svg,
     split_scores_from_dict,
 )
-from .model import ModelConfig, predict
 from .tokenizer import (
     DEFAULT_MAX_LEN, check_vocab_size, load_vocab, save_vocab, train_vocab, vocab_sha256,
-)
-from .trainer import (
-    OVERFIT_GAP_THRESHOLD,
-    TrainingConfig,
-    check_vocabulary,
-    evaluate as evaluate_checkpoint,
-    gap_warns,
-    load_checkpoint,
-    save_checkpoint,
-    train as run_training,
 )
 
 log = logging.getLogger(__name__)
@@ -80,6 +72,39 @@ EXIT_USAGE = 64
 SEED_ENV_VAR = "IPSDM_SEED"
 
 SPLIT_FILES = {"train": "train.csv", "validation": "val.csv", "test": "test.csv"}
+
+
+# ---------------------------------------------------------------------------
+# the numpy stages' library calls
+#
+# Only balance, train, evaluate and classify compute with numpy, so this
+# module imports no module that loads it. These names forward to their home
+# module at call time; each of those commands imports its modules as it
+# starts, before its first library call. The commands look the names up here,
+# where a tracer may wrap them.
+
+
+def _forward(module: str, name: str):
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+balance_corpus = _forward("balance", "balance_corpus")
+balance_report = _forward("balance", "balance_report")
+run_training = _forward("trainer", "train")
+evaluate_checkpoint = _forward("trainer", "evaluate")
+save_checkpoint = _forward("trainer", "save_checkpoint")
+load_checkpoint = _forward("trainer", "load_checkpoint")
+check_vocabulary = _forward("trainer", "check_vocabulary")
+predict = _forward("model", "predict")
+
+
+def _import_compute(*modules: str) -> None:
+    for module in modules:
+        importlib.import_module(f"{__package__}.{module}")
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +396,7 @@ def cmd_balance(args) -> int:
     if not config.balance.enabled:
         print("balancing is disabled in the config; nothing to do")
         return EXIT_OK
+    _import_compute("balance")
     corpus = read_split_csv(config.path(SPLIT_FILES["train"]))
     vocab = load_vocab(config.path("vocab.json"))
     balanced, plan = balance_corpus(
@@ -401,6 +427,7 @@ def cmd_balance(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
+    _import_compute("trainer")
     train_file = "train_balanced.csv" if config.balance.enabled else SPLIT_FILES["train"]
     train_path = config.path(train_file)
     if config.balance.enabled and not train_path.exists():
@@ -432,6 +459,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _config_from_args(args)
+    _import_compute("trainer")
     checkpoint_path = Path(args.checkpoint) if args.checkpoint else config.path("model.ckpt")
     model_name = _utf8_text(args.model_name or checkpoint_path.stem, "the model name")
     checkpoint = load_checkpoint(checkpoint_path)
@@ -454,6 +482,7 @@ def cmd_classify(args) -> int:
         raise UsageError("classify needs --text or --file")
     if args.text is not None and args.file is not None:
         raise UsageError("--text and --file are mutually exclusive")
+    _import_compute("trainer", "model")
     checkpoint = load_checkpoint(args.checkpoint)
     if args.vocab:
         vocab_path = Path(args.vocab)

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DegenerateSplit, MalformedCsv, MissingColumn
+from .shuffle import SeededStream, fisher_yates
 
 FRACTION_TOLERANCE = 1e-9
 # Source CSV column names when a config or load_csv call names none.
@@ -216,16 +215,6 @@ def merge(corpora: list[Corpus]) -> Corpus:
     return Corpus.from_samples(samples)
 
 
-def _fisher_yates(n: int, rng: np.random.Generator) -> list[int]:
-    """Seeded shuffle of range(n): one rng.integers(0, i + 1) draw for each i
-    from n - 1 down to 1."""
-    order = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        order[i], order[j] = order[j], order[i]
-    return order
-
-
 def _floor_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
     test_n = math.floor(spec.test_fraction * n)
     val_n = math.floor(spec.val_fraction * n)
@@ -237,10 +226,10 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
 
     The corpus is cut into groups, one per label in Label order when
     stratified, else the single group of all samples. Each group, in turn,
-    gets a seeded Fisher-Yates shuffle from one RNG stream (an empty group
-    draws nothing) and the floor rule (its remainder goes to train). Each
-    output keeps its members in original corpus order, so identical inputs
-    produce byte-identical splits.
+    gets a seeded Fisher-Yates shuffle from one stream, the draws of numpy's
+    default_rng(seed) (an empty group draws nothing), and the floor rule
+    (its remainder goes to train). Each output keeps its members in original
+    corpus order, so identical inputs produce byte-identical splits.
     """
     spec.validate()
     n = len(corpus)
@@ -251,12 +240,12 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
         groups = [[i for i, s in enumerate(corpus.samples) if s.label == label] for label in Label]
     else:
         groups = [range(n)]
-    rng = np.random.default_rng(spec.seed)
+    stream = SeededStream(spec.seed)
     train_idx: list[int] = []
     val_idx: list[int] = []
     test_idx: list[int] = []
     for group in groups:
-        shuffled = [group[i] for i in _fisher_yates(len(group), rng)]
+        shuffled = [group[i] for i in fisher_yates(len(group), stream)]
         train_c, val_c, test_c = _floor_sizes(len(shuffled), spec)
         train_idx.extend(shuffled[:train_c])
         val_idx.extend(shuffled[train_c : train_c + val_c])

@@ -1,24 +1,30 @@
 """Classification loss and evaluation metrics: numerically safe softmax and
 cross-entropy, a 3x3 confusion matrix, and one-vs-rest precision/recall/F1
 with macro averages. Also renders reports to CSV/JSON and a small SVG chart.
+Only softmax and cross_entropy compute with numpy, and import it when called,
+so reports render without it.
 """
 
 import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import Label
 from .errors import EmptyMatrix, InputError, LengthMismatch, NonFiniteInput
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NUM_CLASSES = 3
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: "np.ndarray") -> "np.ndarray":
     """Row-wise softmax over the last axis, max-subtracted for stability."""
+    import numpy as np
+
     logits = np.asarray(logits)
     if not np.isfinite(logits).all():
         raise NonFiniteInput("softmax received non-finite logits")
@@ -27,12 +33,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def cross_entropy(logits: "np.ndarray", labels: "np.ndarray") -> tuple[float, "np.ndarray"]:
     """Mean cross-entropy over the batch and its gradient w.r.t. the logits.
 
     The loss is computed through log-sum-exp rather than log(softmax) so that
     extreme logits cannot produce log(0). Gradient: (softmax - onehot) / B.
     """
+    import numpy as np
+
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.ndim != 2:
@@ -186,6 +194,18 @@ class SplitScores:
                 for c, s in enumerate(self.scores.per_class)
             },
         }
+
+
+# `ipsdm report` and trainer.overfit_gap flag, through gap_warns, a
+# validation-test accuracy gap (ModelReport.overfit_gap) above this.
+OVERFIT_GAP_THRESHOLD = 0.05
+
+
+def gap_warns(gap: float, threshold: float = OVERFIT_GAP_THRESHOLD) -> bool:
+    """Whether a validation-test accuracy gap lies above the threshold. The
+    gap is rounded to 9 decimals first, so that float error in a difference
+    of accuracies (1.0 - 0.95 is 0.050000000000000044) cannot tip it over."""
+    return round(abs(gap), 9) > threshold
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .blas import single_thread
+from .config import ModelConfig
 from .corpus import Label
 from .errors import AllMasked, SequenceLengthMismatch, StaleCache
 from .tokenizer import TokenSequence, Vocabulary, encode
@@ -40,40 +41,6 @@ from .tokenizer import TokenSequence, Vocabulary, encode
 LN_EPS = 1e-5
 INIT_STD = 0.02
 INIT_TRUNC = 2.0  # truncation in units of the standard deviation
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    num_layers: int
-    num_heads: int
-    d_model: int
-    d_ff: int
-    max_len: int
-    vocab_size: int
-    num_labels: int = 3
-    dropout_rate: float = 0.1
-    pooling: str = "first_token"  # or "mean"
-
-    def validate(self) -> None:
-        """Raise ValueError for a size below 1, or a max_len below 2: encode
-        needs room for [cls] and [sep]."""
-        for name in ("num_layers", "num_heads", "d_model", "d_ff", "max_len"):
-            value = getattr(self, name)
-            floor = 2 if name == "max_len" else 1
-            if type(value) is not int or value < floor:
-                raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
-        if type(self.vocab_size) is not int:
-            raise ValueError(f"vocab_size must be an integer, got {self.vocab_size!r}")
-        if self.d_model % self.num_heads != 0:
-            raise ValueError(
-                f"d_model {self.d_model} not divisible by num_heads {self.num_heads}"
-            )
-        if self.num_labels != 3:
-            raise ValueError("this classifier is fixed at 3 labels (ham/spam/phishing)")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-        if self.pooling not in ("first_token", "mean"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
 
 
 @dataclass

@@ -27,41 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SCHEDULES, VARIANTS, OptimizerHyperparams  # noqa: F401  (re-exported)
 from .errors import NonFiniteGradient, ShapeMismatch
-
-VARIANTS = ("paper", "decoupled")
-SCHEDULES = ("constant", "linear_decay")
-
-
-@dataclass(frozen=True)
-class OptimizerHyperparams:
-    learning_rate: float = 2e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.01
-    variant: str = "decoupled"
-    clip_max_norm: float | None = None
-
-    def validate(self) -> None:
-        """Raise ValueError for an unknown variant or a value out of range;
-        every range is finite, and the checks are written so NaN fails them."""
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("betas must lie in [0, 1)")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ValueError(
-                f"learning_rate must be non-negative and finite, got {self.learning_rate}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError(
-                f"weight_decay must be non-negative and finite, got {self.weight_decay}")
-        if self.clip_max_norm is not None and not 0.0 < self.clip_max_norm < math.inf:
-            raise ValueError(
-                f"clip_max_norm must be positive and finite when set, got {self.clip_max_norm}")
-
 
 @dataclass
 class OptimizerState:

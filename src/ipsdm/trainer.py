@@ -32,7 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, _fisher_yates
+from .config import (  # noqa: F401  (EARLY_STOP_METRICS and EarlyStopping re-exported)
+    EARLY_STOP_METRICS,
+    EarlyStopping,
+    ModelConfig,
+    TrainingConfig,
+)
+from .corpus import Corpus
 from .errors import (
     ConfigError,
     CorruptFile,
@@ -43,16 +49,17 @@ from .errors import (
     VersionMismatch,
     VocabularyMismatch,
 )
-from .metrics import SplitScores, confusion, cross_entropy, score
-from .model import ModelConfig, ModelParameters, backward, forward
-from .optim import (
-    SCHEDULES,
-    OptimizerHyperparams,
-    OptimizerState,
-    adamw_step,
-    init_state,
-    lr_at,
+from .metrics import (
+    OVERFIT_GAP_THRESHOLD,
+    SplitScores,
+    confusion,
+    cross_entropy,
+    gap_warns,
+    score,
 )
+from .model import ModelParameters, backward, forward
+from .optim import OptimizerState, adamw_step, init_state, lr_at
+from .shuffle import SeededStream, fisher_yates
 from .tokenizer import Vocabulary, encode, vocab_sha256
 from . import model as model_mod
 
@@ -60,50 +67,8 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"IPSD"
 CHECKPOINT_FORMAT_VERSION = 1
-EARLY_STOP_METRICS = ("val_accuracy", "val_loss")
-# overfit_gap and `ipsdm report` flag, through gap_warns, a validation-test
-# accuracy gap above this.
-OVERFIT_GAP_THRESHOLD = 0.05
 _SHUFFLE_TAG = 0
 _DROPOUT_TAG = 1
-
-
-@dataclass(frozen=True)
-class EarlyStopping:
-    enabled: bool = False
-    patience: int = 2
-    metric: str = "val_accuracy"
-
-    def validate(self) -> None:
-        if self.patience < 1:
-            raise ConfigError("early stopping patience must be >= 1")
-        if self.metric not in EARLY_STOP_METRICS:
-            raise ConfigError(f"early stopping metric must be one of {EARLY_STOP_METRICS}")
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    model: ModelConfig
-    optimizer: OptimizerHyperparams = OptimizerHyperparams()
-    train_batch_size: int = 32
-    val_batch_size: int = 64
-    num_epochs: int = 3
-    seed: int = 0
-    early_stopping: EarlyStopping = EarlyStopping()
-    lr_schedule: str = "constant"
-
-    def validate(self) -> None:
-        if self.train_batch_size < 1 or self.val_batch_size < 1:
-            raise ConfigError("batch sizes must be >= 1")
-        if self.num_epochs < 1:
-            raise ConfigError("num_epochs must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.lr_schedule not in SCHEDULES:
-            raise ConfigError(f"lr_schedule must be one of {SCHEDULES}")
-        self.early_stopping.validate()
-        self.model.validate()
-        self.optimizer.validate()
 
 
 @dataclass
@@ -195,8 +160,7 @@ def make_batches(
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     if shuffle:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, _SHUFFLE_TAG]))
-        order = _fisher_yates(n, rng)
+        order = fisher_yates(n, SeededStream([seed, epoch, _SHUFFLE_TAG]))
     else:
         order = list(range(n))
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
@@ -404,13 +368,6 @@ class GapRecord:
     gap: float
     warn: bool
     threshold: float
-
-
-def gap_warns(gap: float, threshold: float = OVERFIT_GAP_THRESHOLD) -> bool:
-    """Whether a validation-test accuracy gap lies above the threshold. The
-    gap is rounded to 9 decimals first, so that float error in a difference
-    of accuracies (1.0 - 0.95 is 0.050000000000000044) cannot tip it over."""
-    return round(abs(gap), 9) > threshold
 
 
 def overfit_gap(

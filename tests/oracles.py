@@ -16,6 +16,21 @@ from ipsdm.model import _layer_norm, _layer_norm_backward, attention, gelu, gelu
 
 
 # ---------------------------------------------------------------------------
+# the seeded shuffle: numpy's own generator
+
+
+def numpy_fisher_yates(n: int, rng: np.random.Generator) -> list[int]:
+    """Seeded shuffle of range(n): one rng.integers(0, i + 1) draw for each i
+    from n - 1 down to 1. With rng = np.random.default_rng(entropy), the
+    order ipsdm.shuffle.fisher_yates gives for SeededStream(entropy)."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+# ---------------------------------------------------------------------------
 # byte-pair merges: full pair recount every round
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -945,24 +946,30 @@ def test_report_does_not_warn_on_a_gap_of_exactly_the_threshold(tmp_path, capsys
 # ---------------------------------------------------------------------------
 # start-up imports
 
-# Runs one stage in a fresh interpreter where scipy cannot be imported, and
-# prints the scipy modules loaded after `import ipsdm` and after the stage,
-# as the last line of stdout.
+# Runs one stage in a fresh interpreter where the modules named by the first
+# argument (comma-separated) cannot be imported. As the last line of stdout it
+# prints the scipy and numpy modules loaded after `import ipsdm`, after
+# `import ipsdm.cli` and after the stage.
 _IMPORT_PROBE = """
 import json, sys
 
-sys.modules["scipy"] = None  # any `import scipy...` now raises ImportError
+for name in sys.argv.pop(1).split(","):
+    sys.modules[name] = None  # any `import <name>...` now raises ImportError
 
-def scipy_modules():
-    return sorted(m for m in sys.modules
-                  if m.partition(".")[0] == "scipy" and sys.modules[m] is not None)
+def loaded():
+    return {name: sorted(m for m in sys.modules
+                         if m.partition(".")[0] == name and sys.modules[m] is not None)
+            for name in ("scipy", "numpy")}
 
 import ipsdm
-after_import = scipy_modules()
-from ipsdm.cli import main
-code = main(sys.argv[1:])
-print(json.dumps({"code": code, "import": after_import, "stage": scipy_modules()}))
+after_package = loaded()
+import ipsdm.cli
+after_cli = loaded()
+code = ipsdm.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "package": after_package, "cli": after_cli,
+                  "stage": loaded()}))
 """
+_NONE_LOADED = {"scipy": [], "numpy": []}
 
 
 @pytest.fixture(scope="module")
@@ -994,37 +1001,82 @@ def startup_dirs(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "corpus, stage",
+    "corpus, stage, uses_numpy",
     [
-        ("balanced", ["prepare"]),
-        ("balanced", ["tokenizer-train"]),
-        ("balanced", ["report", "{out}/validation.json", "{out}/test.json"]),
-        ("balanced", ["balance"]),
-        ("imbalanced", ["balance"]),
-        ("balanced", ["train"]),
-        ("balanced", ["evaluate", "--out", "{out}/evaluated.json"]),
-        ("balanced", ["classify", "--checkpoint", "{out}/model.ckpt", "--text", "free cash"]),
+        ("balanced", ["prepare"], False),
+        ("balanced", ["tokenizer-train"], False),
+        ("balanced", ["report", "{out}/validation.json", "{out}/test.json"], False),
+        ("balanced", ["report", "{out}/validation.json", "{out}/test.json", "--svg"], False),
+        ("balanced", ["balance"], True),
+        ("imbalanced", ["balance"], True),
+        ("balanced", ["train"], True),
+        ("balanced", ["evaluate", "--out", "{out}/evaluated.json"], True),
+        ("balanced", ["classify", "--checkpoint", "{out}/model.ckpt", "--text", "free cash"], True),
     ],
-    ids=["prepare", "tokenizer-train", "report", "balance-noop", "balance", "train", "evaluate",
-         "classify"],
+    ids=["prepare", "tokenizer-train", "report", "report-svg", "balance-noop", "balance", "train",
+         "evaluate", "classify"],
 )
-def test_each_stage_imports_scipy_only_where_it_computes(startup_dirs, corpus, stage):
-    """No stage computes with scipy, so none loads it: every stage runs, and
-    exits 0, with scipy unimportable. The imbalanced balance plans and
-    synthesizes ADASYN samples on numpy alone; the model stages run on the
-    package's own erf."""
+def test_each_stage_imports_scipy_only_where_it_computes(startup_dirs, corpus, stage, uses_numpy):
+    """Each stage loads only what it computes with. No stage computes with
+    scipy, so every stage runs, and exits 0, with scipy unimportable; the
+    imbalanced balance plans and synthesizes ADASYN samples on numpy alone,
+    and the model stages run on the package's own erf. prepare,
+    tokenizer-train and report compute nothing with numpy either, and run
+    with it unimportable too. `import ipsdm` and `import ipsdm.cli` load
+    neither, whatever the stage."""
     config, out = startup_dirs[corpus]
     argv = [arg.format(out=out) for arg in stage] + ["--config", str(config)]
+    blocked = "scipy" if uses_numpy else "scipy,numpy"
     env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
     src = str(Path(ipsdm.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, blocked, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["code"] == EXIT_OK, proc.stderr
-    assert probe["import"] == []
-    assert probe["stage"] == []
+    assert probe["package"] == _NONE_LOADED
+    assert probe["cli"] == _NONE_LOADED
+    assert probe["stage"]["scipy"] == []
     if corpus == "imbalanced":
         balanced = read_split_csv(out / "train_balanced.csv")
         assert any(s.source_id == "adasyn" for s in balanced.samples)
+    if "--svg" in stage:
+        assert (out / "report.svg").read_text(encoding="utf-8").startswith("<svg")
+
+
+# Settings that moved to ipsdm.config and metrics, under the names their old
+# modules still give them.
+_MOVED = [
+    ("model", "ModelConfig", "config"),
+    ("optim", "OptimizerHyperparams", "config"),
+    ("optim", "VARIANTS", "config"),
+    ("optim", "SCHEDULES", "config"),
+    ("trainer", "EarlyStopping", "config"),
+    ("trainer", "TrainingConfig", "config"),
+    ("trainer", "EARLY_STOP_METRICS", "config"),
+    ("balance", "DEFAULT_K", "config"),
+    ("balance", "DEFAULT_BETA", "config"),
+    ("balance", "check_params", "config"),
+    ("trainer", "OVERFIT_GAP_THRESHOLD", "metrics"),
+    ("trainer", "gap_warns", "metrics"),
+]
+
+
+def test_package_names_resolve_to_their_home_modules():
+    """ipsdm's public names load lazily: each resolves to the object of the
+    same name in the module that defines it, and dir(ipsdm) lists it. A
+    setting that moved is still found under its old module."""
+    for name in ipsdm.__all__:
+        assert name in dir(ipsdm)
+        value = getattr(ipsdm, name)
+        if name == "__version__":
+            continue
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("ipsdm.")
+        assert getattr(home, name) is value, name
+    for old, name, new in _MOVED:
+        old_value = getattr(importlib.import_module(f"ipsdm.{old}"), name)
+        assert old_value is getattr(importlib.import_module(f"ipsdm.{new}"), name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ipsdm.no_such_name
