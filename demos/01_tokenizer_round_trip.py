@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """
 Learn a byte-pair vocabulary from a handful of messages and walk through
-what it does to a new text: the merge list, the token ids, and the exact
-round trip back to the original bytes.
+what it does to a new text: the pieces merges stay inside, the merge list,
+the token ids, and the exact round trip back to the original bytes.
 """
 
 from ipsdm.corpus import Corpus, Label, LabeledEmail
-from ipsdm.tokenizer import decode, encode, train_vocab
+from ipsdm.tokenizer import decode, encode, split_pieces, train_vocab
 
 MESSAGES = [
     "free cash prize claim now",
@@ -24,9 +24,16 @@ def main():
     ]
     corpus = Corpus.from_samples(samples)
 
+    # Merges never cross a piece boundary: a piece is a run of letters, of
+    # digits, of other symbols or of whitespace other than the space, with
+    # at most one leading space, so a learned token holds a space only as
+    # its first byte.
+    print(f"pieces of {MESSAGES[0]!r}: {split_pieces(MESSAGES[0])}")
+    print(f"pieces of 'Win $500 now!!': {split_pieces('Win $500 now!!')}")
+
     vocab = train_vocab(corpus, vocab_size=280)
-    print(f"vocabulary: {vocab.size} tokens, {len(vocab.merges)} learned merges")
-    print("first merges (most frequent adjacent byte pairs first):")
+    print(f"\nvocabulary: {vocab.size} tokens, {len(vocab.merges)} learned merges")
+    print("first merges (most frequent adjacent byte pairs within a piece first):")
     for left, right in vocab.merges[:8]:
         print(f"  {left!r} + {right!r} -> {(left + right)!r}")
 
@@ -34,8 +41,9 @@ def main():
     sequence = encode(vocab, text, max_len=32)
     print(f"\nencoding {text!r}")
     print(f"  ids ({sequence.true_length} real, rest padding): {list(sequence.ids[:sequence.true_length])}")
-    pieces = [decode(vocab, [i]) for i in sequence.content_ids]
-    print(f"  pieces: {pieces}")
+    print(f"  pieces: {split_pieces(text)}")
+    tokens = [decode(vocab, [i]) for i in sequence.content_ids]
+    print(f"  tokens: {tokens}")
 
     decoded = decode(vocab, sequence.content_ids)
     print(f"  decoded: {decoded!r}")

@@ -18,7 +18,9 @@ from itertools import chain
 import numpy as np
 
 from .config import DEFAULT_BETA, DEFAULT_K, check_params
-from .corpus import Corpus, Label, LabeledEmail
+from .corpus import (  # balance_report: its old home, kept importable
+    Corpus, Label, LabeledEmail, balance_report, majority_and_minority,
+)
 from .errors import NothingToBalance, TooFewSamples
 from .tokenizer import DEFAULT_MAX_LEN, Vocabulary, decode, encode
 
@@ -123,9 +125,8 @@ def plan_adasyn(
     for label in labels:
         counts[label] = counts.get(label, 0) + 1
     class_counts = tuple(sorted(counts.items()))
-    m_maj = max(counts.values())
-    majority_label = min(c for c, n in counts.items() if n == m_maj)
-    minority = [c for c, n in sorted(counts.items()) if n < m_maj]
+    majority_label, minority = majority_and_minority(counts)
+    m_maj = counts[majority_label]
     excluded = tuple(i for i, v in enumerate(vectors) if v.is_zero)
     if not minority:
         return AdasynPlan(
@@ -300,13 +301,3 @@ def balance_corpus(
     if plan.is_empty:
         return corpus, plan
     return synthesize(plan, corpus, windows, vocab, seed), plan
-
-
-def balance_report(before: Corpus, after: Corpus) -> dict:
-    """Per-class counts before and after balancing."""
-    counts_before, counts_after = before.label_counts(), after.label_counts()
-    return {
-        "before": counts_before,
-        "after": counts_after,
-        "added": {name: counts_after[name] - counts_before[name] for name in counts_before},
-    }

@@ -34,7 +34,9 @@ from .corpus import (
     DEFAULT_TEXT_COLUMN,
     Label,
     SplitSpec,
+    balance_report,
     load_csv,
+    majority_and_minority,
     merge,
     read_split_csv,
     save_split_csv,
@@ -77,11 +79,11 @@ SPLIT_FILES = {"train": "train.csv", "validation": "val.csv", "test": "test.csv"
 # ---------------------------------------------------------------------------
 # the numpy stages' library calls
 #
-# Only balance, train, evaluate and classify compute with numpy, so this
-# module imports no module that loads it. These names forward to their home
-# module at call time; each of those commands imports its modules as it
-# starts, before its first library call. The commands look the names up here,
-# where a tracer may wrap them.
+# Only balance (when some class is short of the majority), train, evaluate
+# and classify compute with numpy, so this module imports no module that
+# loads it. These names forward to their home module at call time; each of
+# those commands imports its modules before its first library call. The
+# commands look the names up here, where a tracer may wrap them.
 
 
 def _forward(module: str, name: str):
@@ -93,7 +95,6 @@ def _forward(module: str, name: str):
 
 
 balance_corpus = _forward("balance", "balance_corpus")
-balance_report = _forward("balance", "balance_report")
 run_training = _forward("trainer", "train")
 evaluate_checkpoint = _forward("trainer", "evaluate")
 save_checkpoint = _forward("trainer", "save_checkpoint")
@@ -396,26 +397,36 @@ def cmd_balance(args) -> int:
     if not config.balance.enabled:
         print("balancing is disabled in the config; nothing to do")
         return EXIT_OK
-    _import_compute("balance")
     corpus = read_split_csv(config.path(SPLIT_FILES["train"]))
     vocab = load_vocab(config.path("vocab.json"))
-    balanced, plan = balance_corpus(
-        corpus, vocab,
-        k=config.balance.k, beta=config.balance.beta,
-        seed=config.split.seed, max_len=config.training.model.max_len,
-    )
+    max_len = config.training.model.max_len
+    majority, minority = majority_and_minority(corpus.class_counts)
+    if minority:
+        _import_compute("balance")
+        balanced, plan = balance_corpus(
+            corpus, vocab,
+            k=config.balance.k, beta=config.balance.beta,
+            seed=config.split.seed, max_len=max_len,
+        )
+        targets = {Label(c).name: g for c, g in plan.targets}
+        excluded = len(plan.excluded)
+    else:
+        # Nothing to plan, so nothing is encoded: a content window is empty
+        # only for an empty text, or for every text at max_len 2.
+        balanced, targets = corpus, {}
+        excluded = sum(1 for s in corpus.samples if max_len == 2 or not s.text)
     save_split_csv(balanced, config.path("train_balanced.csv"), "train")
     report = balance_report(corpus, balanced)
     report["plan"] = {
-        "k": plan.k,
-        "beta": plan.beta,
-        "majority_label": Label(plan.majority_label).name,
-        "targets": {Label(c).name: g for c, g in plan.targets},
-        "total_synthetic": plan.total_synthetic(),
-        "excluded_empty": len(plan.excluded),
+        "k": config.balance.k,
+        "beta": config.balance.beta,
+        "majority_label": Label(majority).name,
+        "targets": targets,
+        "total_synthetic": len(balanced) - len(corpus),
+        "excluded_empty": excluded,
     }
     _write_json(config.path("balance_report.json"), report)
-    if plan.is_empty:
+    if not minority:
         print("classes are already balanced; output equals input")
     else:
         log.info(

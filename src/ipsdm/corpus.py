@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 
-from .errors import DegenerateSplit, MalformedCsv, MissingColumn
+from .errors import DegenerateSplit, EmptySplit, MalformedCsv, MissingColumn
 from .shuffle import SeededStream, fisher_yates
 
 FRACTION_TOLERANCE = 1e-9
@@ -66,6 +66,29 @@ class Corpus:
     def label_counts(self) -> dict[str, int]:
         """Samples per label name, every Label in order, absent ones as 0."""
         return {label.name: self.class_counts.get(label, 0) for label in Label}
+
+
+def majority_and_minority(class_counts: dict[int, int]) -> tuple[int, list[int]]:
+    """How ADASYN sees the classes present (count above 0): the majority
+    label, the lowest of those with the largest count, and the labels with
+    fewer samples than it, ascending. The classes are balanced when that
+    list is empty. Raises EmptySplit when no class is present."""
+    present = {label: n for label, n in class_counts.items() if n}
+    if not present:
+        raise EmptySplit("no samples to balance")
+    m_maj = max(present.values())
+    majority = min(label for label, n in present.items() if n == m_maj)
+    return majority, sorted(label for label, n in present.items() if n < m_maj)
+
+
+def balance_report(before: Corpus, after: Corpus) -> dict:
+    """Per-class counts before and after balancing."""
+    counts_before, counts_after = before.label_counts(), after.label_counts()
+    return {
+        "before": counts_before,
+        "after": counts_after,
+        "added": {name: counts_after[name] - counts_before[name] for name in counts_before},
+    }
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,13 @@
-"""Byte-level BPE: learn a sub-word vocabulary and encode text to fixed-length
-token-id sequences with special tokens.
+"""Byte-level BPE inside pieces: learn a sub-word vocabulary and encode text
+to fixed-length token-id sequences with special tokens.
+
+Text is NFC-normalized and split into pieces whose concatenation is the
+text (`split_pieces`): a run of letters, of decimal digits or of other
+non-whitespace characters, each with at most one leading space, or a run of
+whitespace other than the space, with at most one leading space; a space
+that starts none of these is a piece by itself. Merges are learned and
+applied only inside a piece, as in word-level BPE (Sennrich et al. 2016),
+so a learned token holds a space only as its first byte.
 
 The id space is laid out as [specials][256 byte tokens][learned merges], so
 special ids stay below every learned-token id. Unknown bytes cannot occur at
@@ -9,6 +17,7 @@ byte level; the unk id exists for interface completeness only.
 import hashlib
 import heapq
 import json
+import re
 import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -28,6 +37,24 @@ FIRST_MERGE_ID = BYTE_BASE + 256
 MIN_PAIR_FREQUENCY = 2
 DEFAULT_MAX_LEN = 128  # the pipeline's encode length unless the config sets model.max_len
 
+# The vocab.json format: merges learned and applied inside pieces. A file
+# without it was learned across spaces and would encode differently.
+VOCAB_FORMAT = "ipsdm-bpe-pieces-1"
+
+# Letters are word characters other than decimal digits and "_"; "other" is
+# everything that is neither whitespace nor a letter or digit.
+_PIECE = re.compile(r" ?[^\W\d_]+| ?\d+| ?(?:[^\w\s]|_)+| ?[^\S ]+| ")
+
+# Words held per Vocabulary in its word -> ids cache (see encode); when full
+# it is emptied and refills with the words seen from then on. 8,192 holds
+# every distinct word of the generated paper-scale corpus (1,283), and a
+# natural language's 8,192 most frequent words make up most of its running
+# text. Only words of at most _CACHED_WORD_CHARS characters are cached: an
+# entry then takes at most about 1.3 KB (32 four-byte characters, unmerged),
+# so the cache stays below about 11 MB; the corpus's words take about 170 B.
+WORD_CACHE_SIZE = 1 << 13
+_CACHED_WORD_CHARS = 32
+
 _SPECIAL_IDS = {"cls_id": CLS_ID, "sep_id": SEP_ID, "pad_id": PAD_ID, "unk_id": UNK_ID}
 
 _NONE = -1  # no neighbour, or a position whose token a merge absorbed
@@ -46,19 +73,16 @@ class Vocabulary:
     merge_table: dict[tuple[int, int], tuple[int, int]] = field(
         init=False, repr=False, compare=False
     )
-    # The 256 x 256 junction table, flat: joinable[a << 8 | b] is 1 when some
-    # rule's left side ends in byte a and its right side starts with byte b.
-    # Only then can a merge join two tokens across the byte boundary a|b.
-    joinable: bytes = field(init=False, repr=False, compare=False)
+    # word -> its merged ids, at most WORD_CACHE_SIZE entries (see encode).
+    word_cache: dict[str, list[int]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         self.merge_table = {}
-        joinable = bytearray(256 * 256)
         for rank, (left, right) in enumerate(self.merges):
             pair = (self.token_to_id[left], self.token_to_id[right])
             self.merge_table.setdefault(pair, (rank, self.token_to_id[left + right]))
-            joinable[left[-1] << 8 | right[0]] = 1
-        self.joinable = bytes(joinable)
 
     @property
     def size(self) -> int:
@@ -90,8 +114,9 @@ class TokenSequence:
         return self.ids[1 : self.true_length - 1]
 
 
-def _nfc_bytes(text: str) -> bytes:
-    return unicodedata.normalize("NFC", text).encode("utf-8")
+def split_pieces(text: str) -> list[str]:
+    """The pieces of text's NFC form, in order; they concatenate to it."""
+    return _PIECE.findall(unicodedata.normalize("NFC", text))
 
 
 def check_vocab_size(vocab_size: int) -> None:
@@ -102,106 +127,87 @@ def check_vocab_size(vocab_size: int) -> None:
 
 
 def train_vocab(corpus: Corpus, vocab_size: int) -> Vocabulary:
-    """Learn byte-level BPE merges from a training corpus.
+    """Learn byte-level BPE merges inside the pieces of a training corpus.
 
     Merges are chosen greedily by highest adjacent-pair frequency until
     vocab_size is reached or no pair occurs at least twice; frequency ties
     break on lexicographic (left bytes, right bytes) order. Call this on the
     train split only.
 
-    Every document lives in one flat token array, linked into one list per
-    document by prev/next positions. Beside the pair counts, an index holds
-    the positions of each pair's occurrences; entries go stale as merges
-    rewrite their neighbourhood and are checked when read. A merge visits
-    only the occurrences of its own pair, left to right (an occurrence whose
-    tokens an earlier, overlapping one consumed is skipped), and updates only
-    the pairs each occurrence touches: (prev, left), (left, right),
-    (right, next) lose one, (prev, new) and (new, next) gain one. Each merged
-    occurrence removes a token, so there are at most B of them for B training
-    bytes, and with the lazy max-heap that picks the next pair training costs
-    O(B log B + M) for M merges, instead of a recount of every document
-    holding the merged pair.
+    The corpus is counted once into a table of distinct pieces, each a list
+    of byte-string tokens weighted by how often the piece occurs; a pair
+    never spans two pieces. Beside the weighted pair counts, an index holds
+    the pieces each pair occurs in; entries go stale as merges rewrite
+    pieces, and a stale piece merges to itself. A merge rewrites only the
+    pieces of its own pair, left to right, and moves each count by the
+    difference between the piece's pairs before and after times its weight.
+    A lazy max-heap of (count, left, right) picks the next pair.
     """
     check_vocab_size(vocab_size)
     target_merges = vocab_size - 256 - NUM_SPECIALS
 
-    ids: list[int] = []
-    prev: list[int] = []
-    nxt: list[int] = []
+    piece_counts: Counter = Counter()
     for sample in corpus.samples:
-        doc = [BYTE_BASE + b for b in _nfc_bytes(sample.text)]
-        start, end = len(ids), len(ids) + len(doc)
-        ids.extend(doc)
-        prev.extend(range(start - 1, end - 1))
-        nxt.extend(range(start + 1, end + 1))
-        if doc:
-            prev[start] = nxt[end - 1] = _NONE
+        piece_counts.update(split_pieces(sample.text))
+    pieces: list[list[bytes]] = []
+    weights: list[int] = []
+    for piece, count in piece_counts.items():
+        data = piece.encode("utf-8")
+        if len(data) > 1:
+            pieces.append([data[i : i + 1] for i in range(len(data))])
+            weights.append(count)
 
-    token_bytes: dict[int, bytes] = {BYTE_BASE + b: bytes([b]) for b in range(256)}
     pair_counts: Counter = Counter()
-    occurrences: defaultdict = defaultdict(list)  # pair -> left positions, may be stale
-    for pos, after in enumerate(nxt):
-        if after != _NONE:
-            pair = (ids[pos], ids[after])
-            pair_counts[pair] += 1
-            occurrences[pair].append(pos)
+    where: defaultdict = defaultdict(set)  # pair -> indices of pieces, may be stale
+    for index, (tokens, weight) in enumerate(zip(pieces, weights)):
+        for pair in zip(tokens, tokens[1:]):
+            pair_counts[pair] += weight
+            where[pair].add(index)
 
     # Max-heap with lazy deletion; entries are re-pushed whenever a pair's
     # count changes, and stale entries are discarded on pop.
-    heap: list = []
-
-    def push(pair) -> None:
-        count = pair_counts.get(pair, 0)
-        if count >= MIN_PAIR_FREQUENCY:
-            heapq.heappush(
-                heap, (-count, token_bytes[pair[0]], token_bytes[pair[1]], pair)
-            )
-
-    for pair in pair_counts:
-        push(pair)
-
-    changed: set = set()  # pairs whose count the current merge moved
-
-    def move(old_pair, new_pair, pos) -> None:
-        pair_counts[old_pair] -= 1
-        pair_counts[new_pair] += 1
-        occurrences[new_pair].append(pos)
-        changed.add(old_pair)
-        changed.add(new_pair)
+    heap = [(-count, *pair) for pair, count in pair_counts.items() if count >= MIN_PAIR_FREQUENCY]
+    heapq.heapify(heap)
 
     merges: list[tuple[bytes, bytes]] = []
-    new_id = FIRST_MERGE_ID
     while len(merges) < target_merges and heap:
-        neg_count, _, _, pair = heapq.heappop(heap)
+        neg_count, left, right = heapq.heappop(heap)
+        pair = (left, right)
         if pair_counts.get(pair, 0) != -neg_count:
             continue  # stale entry
-        left, right = pair
-        merges.append((token_bytes[left], token_bytes[right]))
-        token_bytes[new_id] = token_bytes[left] + token_bytes[right]
-
-        changed.clear()
-        for pos in sorted(occurrences.pop(pair)):
-            after = nxt[pos]
-            if ids[pos] != left or after == _NONE or ids[after] != right:
-                continue  # consumed by an overlapping occurrence, or stale
-            before, beyond = prev[pos], nxt[after]
-            if before != _NONE:
-                move((ids[before], left), (ids[before], new_id), before)
-            if beyond != _NONE:
-                move((right, ids[beyond]), (new_id, ids[beyond]), pos)
-                prev[beyond] = pos
-            pair_counts[pair] -= 1
-            ids[pos] = new_id
-            nxt[pos] = beyond
-            ids[after] = _NONE
-        changed.add(pair)
-        for changed_pair in changed:
-            if pair_counts.get(changed_pair, 0) <= 0:
-                pair_counts.pop(changed_pair, None)
-                occurrences.pop(changed_pair, None)
-            else:
-                push(changed_pair)
-        new_id += 1
+        merges.append(pair)
+        merged = left + right
+        changed: set = set()
+        for index in where.pop(pair):
+            tokens = pieces[index]
+            out: list[bytes] = []
+            i = 0
+            while i < len(tokens):
+                if i + 1 < len(tokens) and tokens[i] == left and tokens[i + 1] == right:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(tokens[i])
+                    i += 1
+            if len(out) == len(tokens):
+                continue  # stale: an earlier merge rewrote this pair away
+            delta: Counter = Counter(zip(out, out[1:]))
+            delta.subtract(zip(tokens, tokens[1:]))
+            weight = weights[index]
+            for moved, d in delta.items():
+                if d:
+                    pair_counts[moved] += d * weight
+                    changed.add(moved)
+                    if d > 0:
+                        where[moved].add(index)
+            pieces[index] = out
+        for moved in changed:
+            count = pair_counts[moved]
+            if count <= 0:
+                del pair_counts[moved]
+                where.pop(moved, None)
+            elif count >= MIN_PAIR_FREQUENCY:
+                heapq.heappush(heap, (-count, *moved))
 
     return Vocabulary.from_merges(merges)
 
@@ -265,37 +271,39 @@ def encode(vocab: Vocabulary, text: str, max_len: int = DEFAULT_MAX_LEN) -> Toke
     """Encode text as [cls] + merged byte tokens (truncated to max_len-2) + [sep],
     padded to exactly max_len.
 
-    Only the kept tokens are merged. Two tokens that meet at the byte
-    boundary a|b can merge only through a rule whose left side ends in a
-    and whose right side starts with b, the rule's junction
-    (`Vocabulary.joinable`). Where no rule has that junction the boundary is
-    a cut point: nothing ever merges across it, so the bytes before it and
-    after it merge exactly as they would alone, and the two results join.
-    The NFC-normalized UTF-8 bytes are therefore merged chunk by chunk, and
-    the loop stops once max_len-2 ids are held. A chunk holds at least as
-    many bytes as ids are still missing, since a token holds at least one
-    byte, and ends at the first cut point from there on; when none comes
-    within max_len-2 more bytes, it runs to the text's end. The result
-    equals merging the whole text and then truncating.
+    Every space starts a piece, so the NFC text splits at each space into
+    words, each its leading space and one or more whole pieces, and a word
+    merges alone, piece by piece. A word's ids come from the vocabulary's
+    word cache or, on a miss, from `_apply_merges` on each of its pieces,
+    and then enter the cache whole. The walk stops once max_len-2 ids are
+    held, so only the kept words are merged, and the text is split at no
+    more spaces than that: every word after the first holds at least one
+    id. The result equals merging every piece and then truncating.
     """
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
     keep = max_len - 2
-    data = _nfc_bytes(text)
-    joinable = vocab.joinable
+    cache = vocab.word_cache
     content: list[int] = []
-    start = 0
-    while start < len(data) and len(content) < keep:
-        end = start + keep - len(content)
-        stop = min(end + keep, len(data))
-        while end < stop and joinable[data[end - 1] << 8 | data[end]]:
-            end += 1
-        if end >= stop:
-            end = len(data)
-        content += _apply_merges(vocab, [BYTE_BASE + b for b in data[start:end]])
-        start = end
-    content = content[:keep]
-    ids = [CLS_ID] + content + [SEP_ID]
+    words = unicodedata.normalize("NFC", text).split(" ", keep + 1)
+    for index, word in enumerate(words):
+        if index:
+            word = " " + word
+        word_ids = cache.get(word)
+        if word_ids is None:
+            word_ids = [
+                token_id
+                for piece in _PIECE.findall(word)
+                for token_id in _apply_merges(vocab, [BYTE_BASE + b for b in piece.encode("utf-8")])
+            ]
+            if len(word) <= _CACHED_WORD_CHARS:
+                if len(cache) >= WORD_CACHE_SIZE:
+                    cache.clear()
+                cache[word] = word_ids
+        content += word_ids
+        if len(content) >= keep:
+            break
+    ids = [CLS_ID] + content[:keep] + [SEP_ID]
     true_length = len(ids)
     ids.extend([PAD_ID] * (max_len - true_length))
     return TokenSequence(ids=ids, true_length=true_length)
@@ -317,6 +325,7 @@ def decode(vocab: Vocabulary, ids: list[int]) -> str:
 def vocab_to_json(vocab: Vocabulary) -> str:
     """Canonical JSON rendering; merge sides are latin-1-mapped byte strings."""
     doc = {
+        "format": VOCAB_FORMAT,
         "merges": [
             [left.decode("latin-1"), right.decode("latin-1")]
             for left, right in vocab.merges
@@ -332,18 +341,27 @@ def vocab_from_json(text: str, source: str = "vocabulary") -> Vocabulary:
 
     Raises CorruptFile, naming source and, where one is at fault, the merge
     index, unless the text is a JSON object with exactly the keys
-    vocab_to_json writes and the fixed special ids, every merge side is a
-    single byte or the token of an earlier merge, and vocab_size equals the
-    base size plus the merge count.
+    vocab_to_json writes, this module's VOCAB_FORMAT and the fixed special
+    ids, every merge side is a single byte or the token of an earlier merge,
+    and vocab_size equals the base size plus the merge count. A document
+    without the format field holds merges learned across spaces, which
+    encode would not apply as they were learned, so it is refused too.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise CorruptFile(f"{source}: not JSON: {err}") from None
-    if not isinstance(doc, dict) or set(doc) != {"merges", "special", "vocab_size"}:
+    if isinstance(doc, dict) and set(doc) == {"merges", "special", "vocab_size"}:
         raise CorruptFile(
-            f"{source}: expected a JSON object with keys merges, special, vocab_size"
+            f"{source}: no format field, so its merges were learned across spaces;"
+            " run `ipsdm tokenizer-train` again"
         )
+    if not isinstance(doc, dict) or set(doc) != {"format", "merges", "special", "vocab_size"}:
+        raise CorruptFile(
+            f"{source}: expected a JSON object with keys format, merges, special, vocab_size"
+        )
+    if doc["format"] != VOCAB_FORMAT:
+        raise CorruptFile(f"{source}: format must be {VOCAB_FORMAT!r}, got {doc['format']!r}")
     if doc["special"] != _SPECIAL_IDS:
         raise CorruptFile(f"{source}: special must be {_SPECIAL_IDS}, got {doc['special']!r}")
     if not isinstance(doc["merges"], list):

@@ -1,13 +1,14 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written by a different route than the library
-code it checks: full recounts instead of incremental bookkeeping, scalar
-Python loops instead of vectorized numpy, exact fractions instead of rounded
-floats, every padded position instead of packed real tokens. Slow and simple
-on purpose.
+code it checks: full recounts instead of incremental bookkeeping, a
+character-by-character loop instead of a regex, scalar Python loops instead
+of vectorized numpy, exact fractions instead of rounded floats, every padded
+position instead of packed real tokens. Slow and simple on purpose.
 """
 
 import math
+import unicodedata
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,53 @@ def numpy_fisher_yates(n: int, rng: np.random.Generator) -> list[int]:
         j = int(rng.integers(0, i + 1))
         order[i], order[j] = order[j], order[i]
     return order
+
+
+# ---------------------------------------------------------------------------
+# pieces: one character at a time, by class
+
+
+def _char_class(ch: str) -> str:
+    if ch == " ":
+        return "space"
+    if ch.isspace():
+        return "blank"
+    if ch.isdecimal():
+        return "digit"
+    if ch.isalnum():  # a letter, or a numeral that is no decimal digit ("²")
+        return "letter"
+    return "other"  # "_" too
+
+
+def pieces_by_class(text: str) -> list[bytes]:
+    """The UTF-8 pieces of text's NFC form: runs of one class (letters,
+    decimal digits, other whitespace than the space, or anything else),
+    each taking the space just before it; a space that no run follows is a
+    piece alone. Walks the characters one by one, with no regex."""
+    pieces: list[str] = []
+    run_class = None  # class of the last piece's run; None for a lone space
+    for ch in unicodedata.normalize("NFC", text):
+        kind = _char_class(ch)
+        if kind == "space":
+            pieces.append(ch)
+            run_class = None
+        else:
+            if pieces and run_class in (kind, None):
+                pieces[-1] += ch
+            else:
+                pieces.append(ch)
+            run_class = kind
+    return [piece.encode("utf-8") for piece in pieces]
+
+
+def corpus_pieces(texts: list[str]) -> list[bytes]:
+    """Every piece of every text, in order: what training counts."""
+    return [piece for text in texts for piece in pieces_by_class(text)]
+
+
+def replay_pieces(merges: list[tuple[bytes, bytes]], text: str) -> list[bytes]:
+    """replay_merges on each piece of text alone, the tokens joined."""
+    return [token for piece in pieces_by_class(text) for token in replay_merges(merges, piece)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +156,6 @@ def lowest_rank_merges(merges: list[tuple[bytes, bytes]], data: bytes) -> list[b
         if not present:
             return tokens
         tokens = merge_pass(tokens, *merges[min(present)])
-
-
-def byte_pairs_inside(tokens) -> set[tuple[int, int]]:
-    """Every adjacent byte pair inside any of the tokens. For the tokens of a
-    merge list these are exactly its rules' junctions (left[-1], right[0]):
-    each pair inside a merged token is where one of the merges that built it
-    joined its two sides."""
-    return {pair for token in tokens for pair in zip(token, token[1:])}
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from ipsdm.trainer import TrainingConfig, load_checkpoint, save_checkpoint, trai
 
 from conftest import keyword_label, make_separable_corpus
 from oracles import (
+    corpus_pieces,
     exhaustive_adasyn_plan,
     finite_difference_gradient,
     naive_bpe_merges,
@@ -416,8 +417,8 @@ ROUND_TRIP_TEXTS = [
 
 def test_criterion_8_tokenizer_round_trip_and_merge_oracle():
     """decode(encode(t)) reproduces every fixture text byte for byte, and the
-    learned merge list equals a full-recount pair-frequency oracle on a
-    20-line fixture."""
+    learned merge list equals a full-recount pair-frequency oracle over the
+    pieces of a 20-line fixture."""
     labels = list(Label)
     samples = [
         LabeledEmail(line, labels[i % 3], "fixture", i)
@@ -425,7 +426,7 @@ def test_criterion_8_tokenizer_round_trip_and_merge_oracle():
     ]
     corpus = Corpus.from_samples(samples)
     vocab = train_vocab(corpus, vocab_size=300)
-    expected = naive_bpe_merges([line.encode("utf-8") for line in TWENTY_LINES], 40)
+    expected = naive_bpe_merges(corpus_pieces(TWENTY_LINES), 40)
     assert vocab.merges == expected
 
     for text in TWENTY_LINES + ROUND_TRIP_TEXTS:

@@ -7,6 +7,7 @@ import importlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from ipsdm.cli import (
     SEED_ENV_VAR,
     main,
 )
-from ipsdm.corpus import read_split_csv
+from ipsdm.corpus import read_split_csv, save_split_csv
 from ipsdm.model import ModelConfig, init
 from ipsdm.tokenizer import load_vocab, save_vocab, train_vocab, vocab_sha256
 from ipsdm.trainer import Checkpoint, save_checkpoint
@@ -284,6 +285,51 @@ def test_balance_on_already_balanced_split_copies_input(tmp_path, capsys):
     report = json.loads((out / "balance_report.json").read_text())
     assert report["plan"]["total_synthetic"] == 0
     assert report["added"] == {"ham": 0, "spam": 0, "phishing": 0}
+
+
+@pytest.mark.parametrize("max_len", [2, 16])
+def test_balance_of_a_balanced_split_reports_what_the_plan_gives(tmp_path, max_len):
+    """A balanced split is copied without encoding anything, and its report
+    holds what balance_corpus's empty plan gives: excluded_empty counts the
+    empty content windows, an empty text's, or every one at max_len 2."""
+    corpus = make_separable_corpus({Label.ham: 5, Label.spam: 5, Label.phishing: 5}, seed=4)
+    source = _write_source_csv(tmp_path / "mail.csv", corpus)
+    out = tmp_path / "out"
+    config = _write_config(tmp_path / "config.json", [source], out,
+                           model={**SMALL_MODEL, "max_len": max_len})
+    assert main(["prepare", "--config", str(config)]) == EXIT_OK
+    assert main(["tokenizer-train", "--config", str(config)]) == EXIT_OK
+    train = read_split_csv(out / "train.csv")
+    train.samples[0] = replace(train.samples[0], text="")
+    save_split_csv(train, out / "train.csv", "train")
+
+    assert main(["balance", "--config", str(config)]) == EXIT_OK
+
+    from ipsdm.balance import balance_corpus
+    kept, plan = balance_corpus(train, load_vocab(out / "vocab.json"), k=3, max_len=max_len)
+    assert plan.is_empty and kept is train
+    assert (out / "train_balanced.csv").read_bytes() == (out / "train.csv").read_bytes()
+    report = json.loads((out / "balance_report.json").read_text())
+    assert report["plan"] == {
+        "k": plan.k, "beta": plan.beta, "majority_label": Label(plan.majority_label).name,
+        "targets": {}, "total_synthetic": 0, "excluded_empty": len(plan.excluded),
+    }
+    assert len(plan.excluded) == (len(train) if max_len == 2 else 1)
+
+
+def test_balance_of_an_empty_split_exits_input(tmp_path, capsys):
+    corpus = make_separable_corpus({Label.ham: 5, Label.spam: 5}, seed=4)
+    source = _write_source_csv(tmp_path / "mail.csv", corpus)
+    out = tmp_path / "out"
+    config = _write_config(tmp_path / "config.json", [source], out)
+    assert main(["prepare", "--config", str(config)]) == EXIT_OK
+    assert main(["tokenizer-train", "--config", str(config)]) == EXIT_OK
+    (out / "train.csv").write_text("text,label,source_id,row_index,split\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["balance", "--config", str(config)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "no samples to balance" in err and "Traceback" not in err
+    assert not (out / "train_balanced.csv").exists()
 
 
 def test_balance_disabled_is_a_no_op(tmp_path, capsys):
@@ -687,6 +733,23 @@ def test_classify_rejects_corrupt_vocabulary(zero_head_checkpoint, tmp_path, cap
     assert "Traceback" not in err
 
 
+def test_classify_rejects_a_vocabulary_learned_across_spaces(
+    zero_head_checkpoint, tmp_path, capsys
+):
+    ckpt_path, vocab_path = zero_head_checkpoint
+    doc = json.loads(vocab_path.read_text(encoding="utf-8"))
+    del doc["format"]  # as the byte-level trainer wrote it
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([
+        "classify", "--checkpoint", str(ckpt_path), "--vocab", str(old), "--text", "hello",
+    ]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{old}: no format field" in err
+    assert "run `ipsdm tokenizer-train` again" in err
+    assert "Traceback" not in err
+
+
 def test_classify_rejects_a_checkpoint_whose_tensors_do_not_fit_its_config(
     zero_head_checkpoint, tmp_path, capsys
 ):
@@ -1007,7 +1070,7 @@ def startup_dirs(tmp_path_factory):
         ("balanced", ["tokenizer-train"], False),
         ("balanced", ["report", "{out}/validation.json", "{out}/test.json"], False),
         ("balanced", ["report", "{out}/validation.json", "{out}/test.json", "--svg"], False),
-        ("balanced", ["balance"], True),
+        ("balanced", ["balance"], False),
         ("imbalanced", ["balance"], True),
         ("balanced", ["train"], True),
         ("balanced", ["evaluate", "--out", "{out}/evaluated.json"], True),
@@ -1021,8 +1084,8 @@ def test_each_stage_imports_scipy_only_where_it_computes(startup_dirs, corpus, s
     scipy, so every stage runs, and exits 0, with scipy unimportable; the
     imbalanced balance plans and synthesizes ADASYN samples on numpy alone,
     and the model stages run on the package's own erf. prepare,
-    tokenizer-train and report compute nothing with numpy either, and run
-    with it unimportable too. `import ipsdm` and `import ipsdm.cli` load
+    tokenizer-train, report and the balance of an already balanced split
+    compute nothing with numpy either, and run with it unimportable too. `import ipsdm` and `import ipsdm.cli` load
     neither, whatever the stage."""
     config, out = startup_dirs[corpus]
     argv = [arg.format(out=out) for arg in stage] + ["--config", str(config)]
@@ -1058,6 +1121,7 @@ _MOVED = [
     ("balance", "DEFAULT_K", "config"),
     ("balance", "DEFAULT_BETA", "config"),
     ("balance", "check_params", "config"),
+    ("balance", "balance_report", "corpus"),
     ("trainer", "OVERFIT_GAP_THRESHOLD", "metrics"),
     ("trainer", "gap_warns", "metrics"),
 ]

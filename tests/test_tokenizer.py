@@ -2,7 +2,8 @@
 
 The merge-learning tests lean on ``oracles.naive_bpe_merges``, which recounts
 every pair from scratch each round instead of maintaining incremental
-counts, so the two routes share no code.
+counts, over the pieces of ``oracles.pieces_by_class``, a character loop
+instead of the library's regex, so the two routes share no code.
 """
 
 import json
@@ -20,6 +21,7 @@ from ipsdm.tokenizer import (
     PAD_ID,
     SEP_ID,
     UNK_ID,
+    VOCAB_FORMAT,
     Vocabulary,
     decode,
     encode,
@@ -31,7 +33,7 @@ from ipsdm.tokenizer import (
     vocab_to_json,
 )
 
-from oracles import naive_bpe_merges
+from oracles import corpus_pieces, naive_bpe_merges
 
 
 def _corpus(texts):
@@ -160,20 +162,14 @@ def test_stops_below_min_pair_frequency():
 def test_merges_match_full_recount_oracle():
     budget = 40
     vocab = train_vocab(_corpus(TRAIN_LINES), vocab_size=260 + budget)
-    expected = naive_bpe_merges(
-        [unicodedata.normalize("NFC", t).encode("utf-8") for t in TRAIN_LINES],
-        max_merges=budget,
-    )
+    expected = naive_bpe_merges(corpus_pieces(TRAIN_LINES), max_merges=budget)
     assert vocab.merges == expected
 
 
 def test_merges_match_oracle_with_multibyte_text():
     lines = ["café café café", "élève élève", "tea café"]
     vocab = train_vocab(_corpus(lines), vocab_size=290)
-    expected = naive_bpe_merges(
-        [unicodedata.normalize("NFC", t).encode("utf-8") for t in lines],
-        max_merges=30,
-    )
+    expected = naive_bpe_merges(corpus_pieces(lines), max_merges=30)
     assert vocab.merges == expected
 
 
@@ -315,7 +311,8 @@ def test_round_trip_large_fixture(trained):
 
 def test_json_document_shape(trained):
     doc = json.loads(vocab_to_json(trained))
-    assert set(doc) == {"merges", "special", "vocab_size"}
+    assert set(doc) == {"format", "merges", "special", "vocab_size"}
+    assert doc["format"] == VOCAB_FORMAT
     assert doc["special"] == {"cls_id": 0, "sep_id": 1, "pad_id": 2, "unk_id": 3}
     assert doc["vocab_size"] == trained.size
     assert len(doc["merges"]) == len(trained.merges)
@@ -359,6 +356,7 @@ def _vocab_doc(pairs, **overrides):
         "merges": pairs,
         "special": {"cls_id": 0, "sep_id": 1, "pad_id": 2, "unk_id": 3},
         "vocab_size": 260 + len(pairs),
+        "format": VOCAB_FORMAT,
     }
     doc.update(overrides)
     return json.dumps(doc)
@@ -381,6 +379,8 @@ def _vocab_doc(pairs, **overrides):
         (_vocab_doc([["a", "b"]], vocab_size=999), "vocab_size is 999, but 1 merges make 261"),
         (_vocab_doc([["a", "b"]], vocab_size="261"), "vocab_size is '261'"),
         (_vocab_doc([], special={"cls_id": 9}), "special must be"),
+        (_vocab_doc([], format="ipsdm-bpe-0"), "format must be 'ipsdm-bpe-pieces-1'"),
+        (_vocab_doc([], format=None), "format must be"),
     ],
 )
 def test_malformed_vocab_json_raises_corrupt_file(text, message):
@@ -388,6 +388,19 @@ def test_malformed_vocab_json_raises_corrupt_file(text, message):
         vocab_from_json(text, source="bad.json")
     assert str(caught.value).startswith("bad.json: ")
     assert message in str(caught.value)
+
+
+def test_a_vocabulary_learned_across_spaces_is_refused(tmp_path):
+    """A vocab.json without the format field comes from the byte-level
+    trainer that merged across spaces; it does not load."""
+    path = tmp_path / "old.json"
+    old = json.loads(_vocab_doc([["e", " "], ["e ", "a"]]))
+    del old["format"]
+    path.write_text(json.dumps(old), encoding="utf-8")
+    with pytest.raises(CorruptFile) as caught:
+        load_vocab(path)
+    assert str(caught.value).startswith(f"{path}: no format field")
+    assert "run `ipsdm tokenizer-train` again" in str(caught.value)
 
 
 def test_merge_sides_may_be_any_earlier_token():

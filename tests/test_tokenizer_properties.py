@@ -1,26 +1,43 @@
 """Property tests: the tokenizer's fast paths against the slow references.
 
-Training is checked against ``oracles.naive_bpe_merges`` (a full pair recount
-every round) and encoding against ``oracles.replay_merges`` (one whole pass
-per learned merge) and ``oracles.lowest_rank_merges`` (a whole rescan per
-merge step). Generated corpora mix repeated characters, duplicate documents,
-NFC/NFD spellings of one character and 1- to 4-byte UTF-8. Long texts, up to
-hundreds of bytes against a max_len of at most 40, make encode merge them in
-several chunks between cut points and stop early; the oracles merge the whole
-text and truncate.
+The library splits text into pieces with a regex; ``oracles.pieces_by_class``
+does it one character at a time. Training is checked against
+``oracles.naive_bpe_merges`` (a full pair recount every round) over the
+oracle's pieces, and encoding against ``oracles.replay_merges`` (one whole
+pass per learned merge) and ``oracles.lowest_rank_merges`` (a whole rescan
+per merge step). Generated corpora mix repeated characters, duplicate
+documents, NFC/NFD spellings of one character, 1- to 4-byte UTF-8 and
+spaces. Long texts, up to hundreds of bytes against a max_len of at most 40,
+make encode stop early; the oracles merge the whole text and truncate.
 """
 
 import itertools
 import unicodedata
 
+import pytest
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ipsdm import tokenizer
 from ipsdm.corpus import Corpus, Label, LabeledEmail
-from ipsdm.tokenizer import FIRST_MERGE_ID, Vocabulary, decode, encode, train_vocab
+from ipsdm.tokenizer import (
+    FIRST_MERGE_ID,
+    WORD_CACHE_SIZE,
+    Vocabulary,
+    decode,
+    encode,
+    split_pieces,
+    train_vocab,
+)
 
-from oracles import byte_pairs_inside, lowest_rank_merges, naive_bpe_merges, replay_merges
+from oracles import (
+    corpus_pieces,
+    lowest_rank_merges,
+    naive_bpe_merges,
+    pieces_by_class,
+    replay_merges,
+    replay_pieces,
+)
 
 # "é" spelled composed and decomposed, plus 1-, 2-, 3- and 4-byte characters
 # and runs of one character, whose pairs overlap ("aaaa" holds (a, a) three
@@ -55,7 +72,7 @@ def _ids(vocab: Vocabulary, tokens: list[bytes]) -> list[int]:
 @given(lines=corpora(), budget=st.integers(1, 40))
 def test_training_matches_full_recount(lines, budget):
     vocab = train_vocab(_corpus(lines), vocab_size=FIRST_MERGE_ID + budget)
-    assert vocab.merges == naive_bpe_merges([_nfc_bytes(t) for t in lines], budget)
+    assert vocab.merges == naive_bpe_merges(corpus_pieces(lines), budget)
 
 
 @given(
@@ -80,7 +97,7 @@ def test_encode_matches_replay_of_learned_merges(lines, budget, samples, max_len
 @given(lines=corpora(), budget=st.integers(1, 40), text=long_texts, max_len=st.integers(2, 40))
 def test_encode_of_a_long_text_is_the_replay_truncated(lines, budget, text, max_len):
     vocab = train_vocab(_corpus(lines), vocab_size=FIRST_MERGE_ID + budget)
-    expected = _ids(vocab, replay_merges(vocab.merges, _nfc_bytes(text)))
+    expected = _ids(vocab, replay_pieces(vocab.merges, text))
     assert encode(vocab, text, max_len=max_len).content_ids == expected[: max_len - 2]
 
 
@@ -114,37 +131,6 @@ def test_encode_of_a_long_text_is_the_lowest_rank_rescan_truncated(merges, text,
     vocab = Vocabulary.from_merges(merges)
     expected = _ids(vocab, lowest_rank_merges(merges, text.encode()))
     assert encode(vocab, text, max_len=max_len).content_ids == expected[: max_len - 2]
-
-
-@given(merges=merge_lists() | corpora().map(
-    lambda lines: train_vocab(_corpus(lines), vocab_size=FIRST_MERGE_ID + 40).merges))
-def test_joinable_holds_exactly_the_byte_pairs_inside_tokens(merges):
-    vocab = Vocabulary.from_merges(merges)
-    joinable = {(i >> 8, i & 0xFF) for i, flag in enumerate(vocab.joinable) if flag}
-    assert joinable == byte_pairs_inside(vocab.token_to_id)
-
-
-def test_a_cut_point_on_the_chunk_end_and_beside_it(monkeypatch):
-    # Every byte pair of "a" and "b" has a rule's junction except (b, b), so
-    # "bb" holds the text's only cut point; around it, a chunk that ended
-    # early would split "aaaa" or "aba". The cut moves across each chunk
-    # end; with it at byte max_len - 2 the first chunk ends exactly there.
-    merges = [(b"a", b"a"), (b"a", b"b"), (b"b", b"a"), (b"aa", b"aa"), (b"ab", b"a")]
-    vocab = Vocabulary.from_merges(merges)
-    chunks = []
-    apply_merges = tokenizer._apply_merges
-    monkeypatch.setattr(tokenizer, "_apply_merges",
-                        lambda v, ids: chunks.append(len(ids)) or apply_merges(v, ids))
-    for cut in range(1, 12):
-        data = (b"aaab" * 3)[-cut:] + b"baaa" * 3
-        assert data[cut - 1 : cut + 1] == b"bb" and data.count(b"bb") == 1
-        expected = _ids(vocab, lowest_rank_merges(merges, data))
-        for max_len in range(2, len(data) + 4):
-            chunks.clear()
-            seq = encode(vocab, data.decode(), max_len=max_len)
-            assert seq.content_ids == expected[: max_len - 2]
-            if max_len - 2 == cut:
-                assert chunks[0] == cut
 
 
 def test_hand_made_merge_list_on_every_short_text():
@@ -187,3 +173,74 @@ def test_repeated_rule_keeps_its_first_rank_and_last_id():
     seq = encode(vocab, "abc", max_len=8)
     assert seq.content_ids == [FIRST_MERGE_ID + 2, vocab.token_to_id[b"c"]]
     assert decode(vocab, seq.ids) == "abc"
+
+
+# ---------------------------------------------------------------------------
+# pieces and the word cache
+
+# One character or more of every class the split tells apart: letters in 1-
+# to 4-byte UTF-8 ("é" composed and decomposed, a lone combining accent),
+# decimal and other digits, "_" and punctuation, tabs, CR/LF, a no-break
+# space and runs of spaces.
+piece_texts = st.lists(
+    st.sampled_from(["a", "Zz", "é", "é", "ß", "日本", "\U0001f4b0", "7", "٣", "²", "_", ".",
+                     "!?", " ", "  ", "\t", "\r\n", "\n", "\u00a0", "\u0301"]),
+    max_size=16,
+).map("".join) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=24)
+
+
+@given(text=piece_texts)
+def test_pieces_concatenate_back_to_the_text(text):
+    pieces = split_pieces(text)
+    assert "".join(pieces) == unicodedata.normalize("NFC", text)
+    assert all(pieces)
+    assert [piece.encode("utf-8") for piece in pieces] == pieces_by_class(text)
+
+
+@given(lines=st.lists(piece_texts, min_size=1, max_size=6), budget=st.integers(1, 60))
+def test_a_learned_token_holds_a_space_only_as_its_first_byte(lines, budget):
+    vocab = train_vocab(_corpus(lines * 2), vocab_size=FIRST_MERGE_ID + budget)
+    for left, right in vocab.merges:
+        assert b" " not in (left + right)[1:]
+
+
+@given(
+    lines=corpora(),
+    budget=st.integers(1, 40),
+    requests=st.lists(st.tuples(texts | long_texts, st.integers(2, 40)), min_size=1, max_size=6),
+)
+def test_encode_gives_the_same_ids_from_a_cold_and_a_warm_cache(lines, budget, requests):
+    # Each text again at the largest max_len: a word cut short by a small
+    # one must not come back from the cache cut short.
+    requests += [(text, 40) for text, _ in requests]
+    vocab = train_vocab(_corpus(lines), vocab_size=FIRST_MERGE_ID + budget)
+    warm = [encode(vocab, text, max_len).ids for text, max_len in requests]
+    cold = [encode(Vocabulary.from_merges(vocab.merges), text, max_len).ids
+            for text, max_len in requests]
+    assert warm == cold
+
+
+def test_the_word_cache_never_exceeds_its_bound():
+    vocab = Vocabulary.from_merges([(b"w", b"o"), (b" ", b"wo")])
+    largest = 0
+    for i in range(WORD_CACHE_SIZE // 2 + 100):  # two new words a text
+        text = f"wo{i} wo{i}x"
+        assert encode(vocab, text, max_len=16).ids == encode(
+            Vocabulary.from_merges(vocab.merges), text, max_len=16).ids
+        largest = max(largest, len(vocab.word_cache))
+        assert largest <= WORD_CACHE_SIZE
+    assert largest == WORD_CACHE_SIZE
+    long_word = "wo" * 17
+    encode(vocab, long_word, max_len=64)
+    assert long_word not in vocab.word_cache
+
+
+@pytest.mark.parametrize("max_len, merged", [
+    (2, {""}), (3, {"", " a"}), (5, {"", " a", " b"}), (40, {"", " a", " b", " c"}),
+])
+def test_encode_merges_no_word_past_the_window(max_len, merged):
+    vocab = Vocabulary.from_merges([(b" ", b"a")])
+    text = " a a b c"
+    seq = encode(vocab, text, max_len=max_len)
+    assert seq.content_ids == _ids(vocab, replay_pieces(vocab.merges, text))[: max_len - 2]
+    assert set(vocab.word_cache) == merged
