@@ -120,126 +120,61 @@ def init(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParameters:
     return ModelParameters(config=config, tensors=tensors)
 
 
-# Eigen's (and XLA's) fast float32 erf: x P(x^2) / Q(x^2) for |x| <= 4, P of
-# degree 6 and Q of degree 4, coefficients in ascending powers.
-_ERF_P = (-1.60960333262415e-02, -2.95459980854025e-03, -7.34990630326855e-04,
-          -5.69250639462346e-05, -2.10102402082508e-06, 2.77068142495902e-08,
-          -2.72614225801306e-10)
-_ERF_Q = (-1.42647390514189e-02, -7.37332916720468e-03, -1.68282697438203e-03,
-          -2.13374055278905e-04, -1.45660718464996e-05)
-# Both divided by Q's constant term, which makes it 1: the same rational, but
-# less float32 rounding error.
-_ERF_A = [np.float32(c / _ERF_Q[0]) for c in _ERF_P]
-_ERF_B = [np.float32(c / _ERF_Q[0]) for c in _ERF_Q]
-# Elements per pass: its input, output and five scratch buffers (1.8 MB of
-# float32) stay in cache.
-_ERF_CHUNK = 1 << 16
-_math_erf = np.frompyfunc(math.erf, 1, 1)
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# GELU in the tanh form of BERT's reference code (Hendrycks & Gimpel 2016):
+# 0.5 u (1 + tanh(sqrt(2 / pi) (u + 0.044715 u^3))).
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
-def _erf_float32_pass(x, p, t, t2, t4, q, w) -> None:
-    """erf of the 1-d float32 array x into p; the rest are scratch buffers of
-    x's size. Estrin's scheme, whose shorter chains round less than Horner's
-    in float32."""
-    a, b = _ERF_A, _ERF_B
-    np.multiply(x, x, out=t)
-    # Capping x^2 at 16 evaluates |x| > 4 as x * erf(4) / 4, which the final
-    # clip takes to +-1 (and +-inf to +-1).
-    np.minimum(t, np.float32(16.0), out=t)
-    np.multiply(t, t, out=t2)
-    np.multiply(t2, t2, out=t4)
-    # q = (1 + b1 t) + t^2 (b2 + b3 t) + t^4 b4
-    np.multiply(t, b[1], out=q)
-    q += b[0]
-    np.multiply(t, b[3], out=w)
-    w += b[2]
-    w *= t2
-    q += w
-    np.multiply(t4, b[4], out=w)
-    q += w
-    # p = (a0 + a1 t) + t^2 (a2 + a3 t) + t^4 ((a4 + a5 t) + t^2 a6)
-    np.multiply(t, a[1], out=p)
-    p += a[0]
-    np.multiply(t, a[3], out=w)
-    w += a[2]
-    w *= t2
-    p += w
-    np.multiply(t, a[5], out=w)
-    w += a[4]
-    t2 *= a[6]
-    w += t2
-    w *= t4
-    p += w
-    p *= x
-    p /= q
-    # Rounding alone reaches 1 + 2e-7. Two ufuncs cost less than np.clip.
-    np.minimum(p, np.float32(1.0), out=p)
-    np.maximum(p, np.float32(-1.0), out=p)
+def gelu(u: np.ndarray, cdf: Optional[np.ndarray] = None) -> np.ndarray:
+    """GELU in its tanh form, u * cdf(u): within 4.8e-4 of the exact
+    u * Phi(u) on [-6, 6], and in float32 within 8e-7 of the same formula
+    in float64 (4.7e-7 with numpy 2's tanh).
 
-
-def erf(x) -> np.ndarray:
-    """The error function of a float array, elementwise, in x's dtype.
-
-    float32, the dtype every CLI stage runs in, takes a rational kernel whose
-    result lies within 4.1e-7 of the exact erf (3.4 ulp at 1; checked on
-    every float32 with 1e-6 <= |x| <= 8). It is odd, lies in [-1, 1], maps
-    +-inf to +-1, nan to nan and +-0 to +-0. Every other dtype goes through
-    math.erf, one element at a time, for float64 accuracy.
+    cdf, if given (an array of u's shape and dtype), receives the tanh
+    form's Phi(u), (1 + tanh(sqrt(2 / pi) (u + 0.044715 u^3))) / 2, from
+    which gelu_from and gelu_grad rebuild their results without another
+    tanh.
     """
-    x = np.asarray(x)
-    if x.dtype != np.float32:
-        return np.asarray(_math_erf(x), dtype=x.dtype)
-    out = np.empty(x.shape, np.float32)
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    scratch = np.empty((5, min(flat_x.size, _ERF_CHUNK)), np.float32)
-    with np.errstate(over="ignore"):  # x^2 of |x| > 1.8e19 is inf, capped at 16
-        for start in range(0, flat_x.size, _ERF_CHUNK):
-            stop = min(start + _ERF_CHUNK, flat_x.size)
-            _erf_float32_pass(flat_x[start:stop], flat_out[start:stop],
-                              *scratch[:, : stop - start])
-    return out
+    c = np.empty_like(u) if cdf is None else cdf
+    # u^2 of |u| > 1.8e19 and u^3 of |u| > 2e13 overflow to inf, whose tanh
+    # is +-1 either way.
+    with np.errstate(over="ignore"):
+        np.multiply(u, u, out=c)
+        c *= _GELU_C * _GELU_A
+        c += _GELU_C
+        c *= u
+    np.tanh(c, out=c)
+    c *= 0.5
+    c += 0.5
+    return gelu_from(u, c)
 
 
-def _erf_plus_one(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """1 + erf(u / sqrt 2), the factor gelu and gelu_grad share, into out if
-    given."""
-    c = erf(u / _SQRT2)
-    return np.add(c, 1.0, out=c if out is None else out)
+def gelu_from(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """gelu(u), bit for bit, from its cdf: one pass."""
+    return u * cdf
 
 
-def gelu(u: np.ndarray, erf_plus_one: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exact GELU, u * Phi(u), through erf: in float32 within 1.1e-6 of the
-    exact value on [-6, 6].
+def gelu_grad(u: np.ndarray, cdf: Optional[np.ndarray] = None) -> np.ndarray:
+    """d gelu / du = cdf + 2 cdf (1 - cdf) sqrt(2 / pi) u (1 + 3 * 0.044715
+    u^2), as 2 cdf (1 - cdf) = (1 - tanh^2) / 2. Given gelu's cdf, it
+    evaluates no tanh; the result is the same bit for bit.
 
-    erf_plus_one, if given (an array of u's shape and dtype), receives
-    1 + erf(u / sqrt 2), from which gelu_grad and gelu_from rebuild their
-    results without another erf.
+    cdf (1 - cdf) multiplies u before u's powers grow: it is exactly 0
+    wherever u^2 overflows, and 0 * inf would be nan.
     """
-    return gelu_from(u, _erf_plus_one(u, erf_plus_one))
-
-
-def gelu_from(u: np.ndarray, erf_plus_one: np.ndarray) -> np.ndarray:
-    """gelu(u), bit for bit, from its 1 + erf(u / sqrt 2): two passes."""
-    h = u * 0.5
-    h *= erf_plus_one
-    return h
-
-
-def gelu_grad(u: np.ndarray, erf_plus_one: Optional[np.ndarray] = None) -> np.ndarray:
-    """d gelu / du = (1 + erf(u / sqrt 2)) / 2 + u exp(-u^2 / 2) / sqrt(2 pi).
-    Given gelu's erf_plus_one, it evaluates no erf; the result is the same
-    bit for bit."""
-    if erf_plus_one is None:
-        erf_plus_one = _erf_plus_one(u)
-    density = u * -0.5
-    density *= u
-    np.exp(density, out=density)
-    density *= u
-    density /= _SQRT_2PI
-    grad = erf_plus_one * 0.5
-    grad += density
+    if cdf is None:
+        cdf = np.empty_like(u)
+        gelu(u, cdf)
+    v = np.subtract(1.0, cdf)
+    v *= cdf
+    v *= u  # u cdf (1 - cdf)
+    grad = v * u
+    grad *= u
+    grad *= 3.0 * _GELU_A
+    grad += v
+    grad *= 2.0 * _GELU_C
+    grad += cdf
     return grad
 
 
@@ -265,9 +200,9 @@ def attention(
             raise AllMasked("a query row has no unmasked key position")
         # x + 0 is x for every score but -0, which exp maps to 1 either way.
         scores += np.where(key_mask, 0.0, -np.inf).astype(scores.dtype)[..., None, :]
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
     return scores @ v, scores
 
 
@@ -296,28 +231,42 @@ def _merge_heads(x: np.ndarray, real: Optional[np.ndarray]) -> np.ndarray:
     return x.reshape(b * t, h * dh) if real is None else x[real].reshape(-1, h * dh)
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, keepdims: x.mean's sum and divide, bit for
+    bit, without its Python wrapper."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
+
+
 def _layer_norm(x, scale, offset):
     """Layer norm over the last axis; the variance reuses x - mean, with
-    the same sums and divisions as x.var."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xhat = x - mu
-    var = np.square(xhat).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    the same sums and divisions as x.var. Returns (y, xhat, inv_std)."""
+    xhat = x - _row_mean(x)
+    y = np.square(xhat)
+    inv_std = _row_mean(y)
+    inv_std += LN_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std
-    y = xhat * scale
+    np.multiply(xhat, scale, out=y)
     y += offset
     return y, xhat, inv_std
 
 
 def _layer_norm_backward(dy, xhat, inv_std, scale):
-    dscale = (dy * xhat).sum(axis=0)
-    doffset = dy.sum(axis=0)
-    dxhat = dy * scale
-    dx = inv_std * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    """Gradients of _layer_norm: (dx, dscale, doffset), dx as
+    (dxhat - mean(dxhat) - xhat mean(dxhat xhat)) inv_std."""
+    scratch = dy * xhat
+    dscale = np.add.reduce(scratch, axis=0)
+    doffset = np.add.reduce(dy, axis=0)
+    dx = dy * scale  # dxhat, turned into dx in place
+    np.multiply(dx, xhat, out=scratch)
+    m2 = _row_mean(scratch)
+    dx -= _row_mean(dx)
+    np.multiply(xhat, m2, out=scratch)
+    dx -= scratch
+    dx *= inv_std
     return dx, dscale, doffset
 
 
@@ -464,8 +413,8 @@ def forward(
             attn_out, tensors[f"{prefix}.ln1.scale"], tensors[f"{prefix}.ln1.offset"]
         )
         u = x1 @ tensors[f"{prefix}.ff.w1"]
-        erf_plus_one = np.empty_like(u)
-        ff_out = gelu(u, erf_plus_one) @ tensors[f"{prefix}.ff.w2"]
+        cdf = np.empty_like(u)
+        ff_out = gelu(u, cdf) @ tensors[f"{prefix}.ff.w2"]
         if use_dropout:
             layer["drop2"] = _dropout_mask(
                 dropout_rng, padded_shape, config.dropout_rate, dtype, q_lengths
@@ -476,11 +425,11 @@ def forward(
             ff_out, tensors[f"{prefix}.ln2.scale"], tensors[f"{prefix}.ln2.offset"]
         )
         # gelu(u) is not kept, so the cache grows by nothing: backward
-        # rebuilds it from erf_plus_one in two passes.
+        # rebuilds it from cdf in one pass.
         layer.update(
             q=q, k=k, v=v, probs=probs, ctx_merged=ctx_merged,
             xhat1=xhat1, inv_std1=inv_std1, x1=x1,
-            u=u, erf_plus_one=erf_plus_one, xhat2=xhat2, inv_std2=inv_std2,
+            u=u, cdf=cdf, xhat2=xhat2, inv_std2=inv_std2,
         )
         cache.layers.append(layer)
         x = x2
@@ -546,9 +495,9 @@ def backward(
 
         dff_out = dln2_in * layer["drop2"] if "drop2" in layer else dln2_in
         du = dff_out @ tensors[f"{prefix}.ff.w2"].T
-        u, erf_plus_one = layer["u"], layer["erf_plus_one"]
-        grads[f"{prefix}.ff.w2"] += _weight_grad(gelu_from(u, erf_plus_one), dff_out)
-        du *= gelu_grad(u, erf_plus_one)
+        u, cdf = layer["u"], layer["cdf"]
+        grads[f"{prefix}.ff.w2"] += _weight_grad(gelu_from(u, cdf), dff_out)
+        du *= gelu_grad(u, cdf)
         grads[f"{prefix}.ff.w1"] += _weight_grad(x1, du)
         dx1 = du @ tensors[f"{prefix}.ff.w1"].T
         dx1 += dln2_in

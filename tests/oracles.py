@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ipsdm.model import _layer_norm, _layer_norm_backward, attention, gelu, gelu_from, gelu_grad
+from ipsdm.model import LN_EPS, attention, gelu, gelu_from, gelu_grad
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +235,39 @@ def full_length_dropout_mask(rng, shape, rate, dtype):
 
 
 # ---------------------------------------------------------------------------
+# layer norm: through ndarray.mean, one temporary per step
+
+
+def layer_norm(x, scale, offset):
+    """Layer norm over the last axis through x.mean and fresh arrays:
+    (y, xhat, inv_std), which ipsdm.model._layer_norm must match byte for
+    byte."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    xhat *= inv_std
+    y = xhat * scale
+    y += offset
+    return y, xhat, inv_std
+
+
+def layer_norm_backward(dy, xhat, inv_std, scale):
+    """Gradients of layer_norm through ndarray.mean and fresh arrays:
+    (dx, dscale, doffset), which ipsdm.model._layer_norm_backward must match
+    byte for byte."""
+    dscale = (dy * xhat).sum(axis=0)
+    doffset = dy.sum(axis=0)
+    dxhat = dy * scale
+    dx = inv_std * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, dscale, doffset
+
+
+# ---------------------------------------------------------------------------
 # encoder: every per-token op over the padded (batch * T) positions
 
 
@@ -251,8 +284,9 @@ def _merge_heads(x):
 def padded_forward(params, batch, training=False, dropout_rng=None):
     """The encoder with every row padded to the batch's longest true length
     T: every per-token op runs on all batch * T positions. It checks the
-    packed layout of model.forward, and shares its kernels (layer norm,
-    attention, GELU). Dropout masks are the first T positions of
+    packed layout of model.forward, and shares its attention and GELU; its
+    layer norm is layer_norm above, which model._layer_norm matches bit for
+    bit. Dropout masks are the first T positions of
     full_length_dropout_mask. Returns (logits, cache), the cache a dict."""
     config = params.config
     lengths = np.array([seq.true_length for seq in batch])
@@ -286,23 +320,23 @@ def padded_forward(params, batch, training=False, dropout_rng=None):
             layer["drop1"] = mask()
             attn_out *= layer["drop1"].reshape(b * t, d)
         attn_out += x
-        x1, xhat1, inv_std1 = _layer_norm(
+        x1, xhat1, inv_std1 = layer_norm(
             attn_out, tensors[f"{prefix}.ln1.scale"], tensors[f"{prefix}.ln1.offset"]
         )
         u = x1 @ tensors[f"{prefix}.ff.w1"]
-        erf_plus_one = np.empty_like(u)
-        ff_out = gelu(u, erf_plus_one) @ tensors[f"{prefix}.ff.w2"]
+        cdf = np.empty_like(u)
+        ff_out = gelu(u, cdf) @ tensors[f"{prefix}.ff.w2"]
         if use_dropout:
             layer["drop2"] = mask()
             ff_out *= layer["drop2"].reshape(b * t, d)
         ff_out += x1
-        x2, xhat2, inv_std2 = _layer_norm(
+        x2, xhat2, inv_std2 = layer_norm(
             ff_out, tensors[f"{prefix}.ln2.scale"], tensors[f"{prefix}.ln2.offset"]
         )
         layer.update(
             q=q, k=k, v=v, probs=probs, ctx_merged=ctx_merged,
             xhat1=xhat1, inv_std1=inv_std1, x1=x1,
-            u=u, erf_plus_one=erf_plus_one, xhat2=xhat2, inv_std2=inv_std2,
+            u=u, cdf=cdf, xhat2=xhat2, inv_std2=inv_std2,
         )
         cache["layers"].append(layer)
         x = x2
@@ -345,7 +379,7 @@ def padded_backward(params, cache, dlogits):
         layer = cache["layers"][i]
         x_in, x1 = layer["x"], layer["x1"]
 
-        dln2_in, dscale2, doffset2 = _layer_norm_backward(
+        dln2_in, dscale2, doffset2 = layer_norm_backward(
             dx, layer["xhat2"], layer["inv_std2"], tensors[f"{prefix}.ln2.scale"]
         )
         grads[f"{prefix}.ln2.scale"] += dscale2
@@ -356,14 +390,14 @@ def padded_backward(params, cache, dlogits):
         else:
             dff_out = dln2_in
         du = dff_out @ tensors[f"{prefix}.ff.w2"].T
-        u, erf_plus_one = layer["u"], layer["erf_plus_one"]
-        grads[f"{prefix}.ff.w2"] += gelu_from(u, erf_plus_one).T @ dff_out
-        du *= gelu_grad(u, erf_plus_one)
+        u, cdf = layer["u"], layer["cdf"]
+        grads[f"{prefix}.ff.w2"] += gelu_from(u, cdf).T @ dff_out
+        du *= gelu_grad(u, cdf)
         grads[f"{prefix}.ff.w1"] += x1.T @ du
         dx1 = du @ tensors[f"{prefix}.ff.w1"].T
         dx1 += dln2_in
 
-        dln1_in, dscale1, doffset1 = _layer_norm_backward(
+        dln1_in, dscale1, doffset1 = layer_norm_backward(
             dx1, layer["xhat1"], layer["inv_std1"], tensors[f"{prefix}.ln1.scale"]
         )
         grads[f"{prefix}.ln1.scale"] += dscale1

@@ -1083,7 +1083,7 @@ def test_each_stage_imports_scipy_only_where_it_computes(startup_dirs, corpus, s
     """Each stage loads only what it computes with. No stage computes with
     scipy, so every stage runs, and exits 0, with scipy unimportable; the
     imbalanced balance plans and synthesizes ADASYN samples on numpy alone,
-    and the model stages run on the package's own erf. prepare,
+    and the model stages run on numpy alone too. prepare,
     tokenizer-train, report and the balance of an already balanced split
     compute nothing with numpy either, and run with it unimportable too. `import ipsdm` and `import ipsdm.cli` load
     neither, whatever the stage."""
