@@ -21,7 +21,9 @@ import importlib
 import json
 import logging
 import os
+import resource
 import sys
+import time
 import types
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -640,7 +642,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = time.perf_counter()
+        code = args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -659,6 +662,18 @@ def main(argv=None) -> int:
     except IpsdmError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    _log_usage(args.command, time.perf_counter() - started)
+    return code
+
+
+def _log_usage(command: str, wall_s: float) -> None:
+    """Log a finished stage's wall time and its process's CPU time and peak
+    resident set size (ru_maxrss, KiB on Linux)."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    log.info(
+        "%s finished: wall %.2fs, cpu %.2fs, peak rss %.1f MB",
+        command, wall_s, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024,
+    )
 
 
 def entrypoint() -> None:

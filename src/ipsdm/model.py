@@ -340,7 +340,9 @@ def forward(
     batch: list[TokenSequence],
     training: bool = False,
     dropout_rng: Optional[np.random.Generator] = None,
-) -> tuple[np.ndarray, ForwardCache]:
+    *,
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, Optional[ForwardCache]]:
     """Run the encoder on a batch, returning (logits, cache).
 
     Every sequence must be max_len long; compute covers only the batch's N
@@ -359,6 +361,12 @@ def forward(
     rows' entries of one drawn for all max_len positions, and leaves the
     stream where that draw would, so training differs from the full-length
     computation only by rounding.
+
+    The cache, which only backward reads, is built when keep_cache is True
+    (the default). With keep_cache=False the same loop keeps no layer's
+    activations, so each is freed once the next layer has read it, and the
+    call returns (logits, None): the logits are the same bit for bit.
+    Inference (validation, evaluate, predict) passes keep_cache=False.
     """
     config = params.config
     for seq in batch:
@@ -386,7 +394,10 @@ def forward(
     else:
         x = tensors["token_embedding"][ids[real]]
         x += tensors["position_embedding"][np.nonzero(real)[1]]
-    cache = ForwardCache(ids=ids, key_mask=key_mask, params_version=params.version)
+    cache = (
+        ForwardCache(ids=ids, key_mask=key_mask, params_version=params.version)
+        if keep_cache else None
+    )
 
     # Attention needs no key bias where no key is padded.
     attn_mask = None if real is None else key_mask[:, None, :]
@@ -424,14 +435,15 @@ def forward(
         x2, xhat2, inv_std2 = _layer_norm(
             ff_out, tensors[f"{prefix}.ln2.scale"], tensors[f"{prefix}.ln2.offset"]
         )
-        # gelu(u) is not kept, so the cache grows by nothing: backward
-        # rebuilds it from cdf in one pass.
-        layer.update(
-            q=q, k=k, v=v, probs=probs, ctx_merged=ctx_merged,
-            xhat1=xhat1, inv_std1=inv_std1, x1=x1,
-            u=u, cdf=cdf, xhat2=xhat2, inv_std2=inv_std2,
-        )
-        cache.layers.append(layer)
+        if keep_cache:
+            # gelu(u) is not kept, so the cache grows by nothing: backward
+            # rebuilds it from cdf in one pass.
+            layer.update(
+                q=q, k=k, v=v, probs=probs, ctx_merged=ctx_merged,
+                xhat1=xhat1, inv_std1=inv_std1, x1=x1,
+                u=u, cdf=cdf, xhat2=xhat2, inv_std2=inv_std2,
+            )
+            cache.layers.append(layer)
         x = x2
 
     if config.pooling == "first_token":
@@ -439,7 +451,8 @@ def forward(
     else:
         counts = lengths[:, None].astype(dtype)
         pooled = _padded(x, real, b, t).sum(axis=1) / counts
-    cache.pooled = pooled
+    if keep_cache:
+        cache.pooled = pooled
     logits = pooled @ tensors["classifier.weight"] + tensors["classifier.bias"]
     return logits, cache
 
@@ -559,6 +572,6 @@ def predict(
 
     seq = encode(vocab, text, params.config.max_len)
     with single_thread():
-        logits, _ = forward(params, [seq], training=False)
+        logits, _ = forward(params, [seq], training=False, keep_cache=False)
     probs = softmax(logits[0].astype(np.float64))
     return Label(int(np.argmax(probs))), probs

@@ -183,7 +183,7 @@ def _eval_pass(
     for start in range(0, n, batch_size):
         batch = sequences[start : start + batch_size]
         batch_labels = labels[start : start + batch_size]
-        logits, _ = forward(params, batch, training=False)
+        logits, _ = forward(params, batch, training=False, keep_cache=False)
         loss, _ = cross_entropy(logits, batch_labels)
         total_loss += loss * len(batch)
         predictions.extend(int(i) for i in np.argmax(logits, axis=1))
@@ -300,6 +300,8 @@ def train(
                 adamw_step(params.tensors, grads, opt_state, config.optimizer, learning_rate=step_lr)
                 params.version += 1
                 loss_sum += loss * len(batch_indices)
+            # Per epoch, not per step: glibc trims a freed heap top, and the next step refaults it.
+            cache = grads = None
             # An update can leave finite gradients but parameters that
             # overflow on the next forward, which may be this one.
             val_loss, val_preds = _eval_pass(params, val_seqs, val_labels, config.val_batch_size)

@@ -5,6 +5,7 @@ import json
 import hashlib
 import importlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -136,6 +137,25 @@ def test_prepare_reports_each_skipped_row_once(tmp_path, caplog):
     assert [m for m in messages if "empty" in m] == [
         f"loaded 12 samples from {source} (skipped: 1 unknown label, 1 empty)"
     ]
+
+
+def test_a_stage_that_succeeds_logs_its_wall_cpu_and_peak_rss(tmp_path, caplog):
+    corpus = make_separable_corpus({Label.ham: 6, Label.spam: 6}, seed=5)
+    source = _write_source_csv(tmp_path / "mail.csv", corpus)
+    config = _write_config(tmp_path / "config.json", [source], tmp_path / "out")
+
+    with caplog.at_level("INFO", logger="ipsdm"):
+        assert main(["prepare", "--config", str(config)]) == EXIT_OK
+        assert main(["prepare", "--config", str(tmp_path / "missing.json")]) == EXIT_INPUT
+    (record,) = [r for r in caplog.records if "finished" in r.getMessage()]
+    assert (record.name, record.levelname) == ("ipsdm.cli", "INFO")
+    match = re.fullmatch(
+        r"prepare finished: wall (\d+\.\d\d)s, cpu (\d+\.\d\d)s, peak rss (\d+\.\d) MB",
+        record.getMessage(),
+    )
+    assert match, record.getMessage()
+    _, cpu, rss = map(float, match.groups())
+    assert cpu > 0 and rss > 0
 
 
 def test_prepare_rerun_is_byte_identical(tmp_path):

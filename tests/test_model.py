@@ -9,6 +9,7 @@ the classifier head) through a single independent route.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,11 +241,18 @@ def test_forward_zero_head_gives_zero_logits():
 
 
 def test_forward_inference_deterministic():
-    params = init(SMALL, seed=5)
-    batch = _batch(TEXTS)
-    first, _ = forward(params, batch, training=False)
-    second, _ = forward(params, batch, training=False)
-    assert np.array_equal(first, second)
+    """Repeated inference gives the same logits, and so does inference
+    that keeps no cache: for a padded batch and an unpadded batch of one,
+    under either pooling."""
+    for pooling in ("first_token", "mean"):
+        params = init(replace(SMALL, pooling=pooling), seed=5)
+        for batch in (_batch(TEXTS), _batch(TEXTS[:1])):
+            first, cache = forward(params, batch, training=False)
+            second, _ = forward(params, batch, training=False)
+            uncached, none = forward(params, batch, training=False, keep_cache=False)
+            assert cache is not None and none is None
+            assert np.array_equal(first, second), pooling
+            assert np.array_equal(first, uncached), pooling
 
 
 def test_forward_duplicated_sequence_gets_identical_rows():

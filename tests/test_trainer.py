@@ -2,12 +2,15 @@
 
 import json
 import struct
+import weakref
 import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ipsdm.model
+import ipsdm.trainer
 from ipsdm.corpus import Corpus, Label
 from ipsdm.errors import (
     ConfigError,
@@ -300,6 +303,49 @@ def test_train_bit_identical_across_runs():
     for name in first.tensors:
         assert np.array_equal(first.tensors[name], second.tensors[name]), name
     assert [r.as_dict() for r in history_a] == [r.as_dict() for r in history_b]
+
+
+def test_inference_keeps_no_cache_and_validation_starts_after_the_step_state_is_freed(
+    monkeypatch,
+):
+    """Each epoch's validation pass starts once the cache of the epoch's last
+    training forward is gone, and every inference forward, from train,
+    evaluate and predict, asks forward to keep no cache."""
+    corpus, vocab, config = _training_setup(
+        {Label.ham: 5, Label.spam: 5}, num_epochs=2, train_batch_size=4
+    )
+    last_training_cache = []
+    inference_calls = []
+    freed_at_validation = []
+
+    def spy(module):
+        real = module.forward
+
+        def forward(*args, **kwargs):
+            logits, cache = real(*args, **kwargs)
+            if kwargs.get("training", args[2] if len(args) > 2 else False):
+                last_training_cache[:] = [weakref.ref(cache)]
+            else:
+                inference_calls.append((module.__name__, kwargs.get("keep_cache"), cache))
+            return logits, cache
+
+        monkeypatch.setattr(module, "forward", forward)
+
+    real_eval_pass = ipsdm.trainer._eval_pass
+
+    def eval_pass(*args, **kwargs):
+        freed_at_validation.append(last_training_cache[0]() is None)
+        return real_eval_pass(*args, **kwargs)
+
+    spy(ipsdm.trainer)
+    spy(ipsdm.model)
+    monkeypatch.setattr(ipsdm.trainer, "_eval_pass", eval_pass)
+    checkpoint, _ = train(config, corpus, corpus, vocab)
+    assert freed_at_validation == [True, True]
+    evaluate(checkpoint, corpus, vocab)
+    ipsdm.model.predict(checkpoint.model_parameters(), vocab, "free cash")
+    assert [module for module, _, _ in inference_calls] == ["ipsdm.trainer"] * 3 + ["ipsdm.model"]
+    assert all(keep is False and cache is None for _, keep, cache in inference_calls)
 
 
 @pytest.mark.parametrize("schedule", ["constant", "linear_decay"])
