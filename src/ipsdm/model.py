@@ -26,7 +26,6 @@ sequence's first row alone: batch rows, not N.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -270,35 +269,12 @@ def _layer_norm_backward(dy, xhat, inv_std, scale):
     return dx, dscale, doffset
 
 
-# Bit generators whose advance(n) skips exactly n 64-bit draws, as n
-# float64 uniforms consume. Philox's advance counts blocks of four.
-_ADVANCE_BY_DRAWS = (np.random.PCG64, np.random.PCG64DXSM)
-
-
-def _dropout_mask(rng, shape, rate, dtype, lengths):
-    """Inverted-dropout mask of each row's leading lengths[i] positions of a
-    (rows, positions, ...) shape, the rows stacked: (sum(lengths),
-    *shape[2:]). Those entries, and the point the stream is left at, are
-    those of one draw for the whole shape, so neither depends on the
-    lengths. A PCG64 generator (default_rng's) draws each row's kept
-    positions and advances past the rest; any other draws the whole shape."""
-    positions = shape[1]
-    lengths = [operator.index(n) for n in lengths]
+def _dropout_mask(rng, shape, rate, dtype):
+    """Inverted-dropout mask of the given shape: one float64 uniform per
+    entry, in C order, kept where it is at least rate and scaled by
+    1 / (1 - rate)."""
     keep = np.dtype(dtype).type(1.0 - rate)
-    uniforms = np.empty((sum(lengths), *shape[2:]))
-    bit_generator = rng.bit_generator
-    if all(n == positions for n in lengths):
-        rng.random(out=uniforms)
-    elif isinstance(bit_generator, _ADVANCE_BY_DRAWS):
-        width = math.prod(shape[2:])
-        start = 0
-        for n in lengths:
-            rng.random(out=uniforms[start : start + n])
-            bit_generator.advance((positions - n) * width)
-            start += n
-    else:
-        uniforms[...] = rng.random(shape)[np.arange(positions) < np.array(lengths)[:, None]]
-    return (uniforms >= rate).astype(dtype) / keep
+    return (rng.random(shape) >= rate).astype(dtype) / keep
 
 
 def _real(key_mask: np.ndarray) -> Optional[np.ndarray]:
@@ -357,10 +333,10 @@ def forward(
     after the input have batch rows and its probs (batch, heads, 1, T).
 
     Dropout is applied only when training=True (and dropout_rate > 0), drawing
-    masks from dropout_rng in a fixed order. Each mask holds the computed
-    rows' entries of one drawn for all max_len positions, and leaves the
-    stream where that draw would, so training differs from the full-length
-    computation only by rounding.
+    masks from dropout_rng in a fixed order: drop1 then drop2, layer by
+    layer. Each mask covers exactly the rows its layer computes, one
+    uniform per entry, so training does not depend on max_len beyond
+    truncation.
 
     The cache, which only backward reads, is built when keep_cache is True
     (the default). With keep_cache=False the same loop keeps no layer's
@@ -385,7 +361,6 @@ def forward(
     if use_dropout and dropout_rng is None:
         raise ValueError("training forward with dropout requires dropout_rng")
     b, d, heads = len(batch), config.d_model, config.num_heads
-    padded_shape = (b, config.max_len, d)
 
     if real is None:
         x = tensors["token_embedding"][ids]
@@ -405,9 +380,7 @@ def forward(
         prefix = f"layers.{i}"
         layer: dict = {"x": x}
         rows, q_real, q_t = _query_rows(config, i, key_mask)
-        # Each query row's dropout entries are its position's in the
-        # full-length draw: a first row's is position 0.
-        xq, q_lengths = (x, lengths) if rows is None else (x[rows], np.ones_like(lengths))
+        xq = x if rows is None else x[rows]
         q = _split_heads(_padded(xq @ tensors[f"{prefix}.attn.w_q"], q_real, b, q_t), heads)
         k = _split_heads(_padded(x @ tensors[f"{prefix}.attn.w_k"], real, b, t), heads)
         v = _split_heads(_padded(x @ tensors[f"{prefix}.attn.w_v"], real, b, t), heads)
@@ -415,9 +388,7 @@ def forward(
         ctx_merged = _merge_heads(ctx, q_real)
         attn_out = ctx_merged @ tensors[f"{prefix}.attn.w_o"]
         if use_dropout:
-            layer["drop1"] = _dropout_mask(
-                dropout_rng, padded_shape, config.dropout_rate, dtype, q_lengths
-            )
+            layer["drop1"] = _dropout_mask(dropout_rng, attn_out.shape, config.dropout_rate, dtype)
             attn_out *= layer["drop1"]
         attn_out += xq
         x1, xhat1, inv_std1 = _layer_norm(
@@ -427,9 +398,7 @@ def forward(
         cdf = np.empty_like(u)
         ff_out = gelu(u, cdf) @ tensors[f"{prefix}.ff.w2"]
         if use_dropout:
-            layer["drop2"] = _dropout_mask(
-                dropout_rng, padded_shape, config.dropout_rate, dtype, q_lengths
-            )
+            layer["drop2"] = _dropout_mask(dropout_rng, ff_out.shape, config.dropout_rate, dtype)
             ff_out *= layer["drop2"]
         ff_out += x1
         x2, xhat2, inv_std2 = _layer_norm(

@@ -272,8 +272,13 @@ def train(
             best_metric=best_metric,
         )
 
-    epochs_since_best = 0
+    stopping = config.early_stopping
     for epoch in range(start_epoch, config.num_epochs + 1):
+        # Epochs since the best, counted from the history, so a resumed run
+        # counts those it did not run itself.
+        if stopping.enabled and best_epoch is not None:
+            if len(history) - best_epoch >= stopping.patience:
+                break
         started = time.perf_counter()
         dropout_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, epoch, _DROPOUT_TAG])
@@ -333,14 +338,9 @@ def train(
             best_metric = value
             best_epoch = epoch
             best_params = params.copy()
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
 
         if stop_after_epoch is not None and epoch >= stop_after_epoch:
             return snapshot(True), history
-        if config.early_stopping.enabled and epochs_since_best >= config.early_stopping.patience:
-            break
 
     return snapshot(False), history
 

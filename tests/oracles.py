@@ -223,18 +223,6 @@ def dense_attention(q, k, v, key_mask=None):
 
 
 # ---------------------------------------------------------------------------
-# dropout: one draw over every position
-
-
-def full_length_dropout_mask(rng, shape, rate, dtype):
-    """Inverted-dropout mask drawn for the whole shape: one float64 uniform
-    per entry, in C order, kept where it is at least rate and scaled by
-    1 / (1 - rate)."""
-    keep = np.dtype(dtype).type(1.0 - rate)
-    return (rng.random(shape) >= rate).astype(dtype) / keep
-
-
-# ---------------------------------------------------------------------------
 # layer norm: through ndarray.mean, one temporary per step
 
 
@@ -286,8 +274,11 @@ def padded_forward(params, batch, training=False, dropout_rng=None):
     T: every per-token op runs on all batch * T positions. It checks the
     packed layout of model.forward, and shares its attention and GELU; its
     layer norm is layer_norm above, which model._layer_norm matches bit for
-    bit. Dropout masks are the first T positions of
-    full_length_dropout_mask. Returns (logits, cache), the cache a dict."""
+    bit. Dropout draws the same masks as model.forward, one uniform per entry
+    of the rows it computes, in the same order, and scatters them onto the
+    padded view; padded rows, and in the last layer of a first-token model
+    all but each sequence's first row, get a zero mask, as they reach no
+    logit. Returns (logits, cache), the cache a dict."""
     config = params.config
     lengths = np.array([seq.true_length for seq in batch])
     t = int(lengths.max())
@@ -297,11 +288,15 @@ def padded_forward(params, batch, training=False, dropout_rng=None):
     dtype = tensors["token_embedding"].dtype
     use_dropout = training and config.dropout_rate > 0.0
     b, d, heads = len(batch), config.d_model, config.num_heads
-    padded_shape = (b, config.max_len, d)
+    keep = dtype.type(1.0 - config.dropout_rate)
+    first = np.arange(t) == 0
 
-    def mask():
-        full = full_length_dropout_mask(dropout_rng, padded_shape, config.dropout_rate, dtype)
-        return full[:, :t]
+    def mask(computed):
+        """Scatter a draw for the computed positions of the (b, t) view."""
+        full = np.zeros((b, t, d), dtype)
+        drawn = dropout_rng.random((int(computed.sum()), d)) >= config.dropout_rate
+        full[computed] = drawn.astype(dtype) / keep
+        return full
 
     x = tensors["token_embedding"][ids]
     x += tensors["position_embedding"][:t]
@@ -310,6 +305,8 @@ def padded_forward(params, batch, training=False, dropout_rng=None):
     for i in range(config.num_layers):
         prefix = f"layers.{i}"
         layer = {"x": x}
+        pooled_only = i == config.num_layers - 1 and config.pooling == "first_token"
+        computed = key_mask & first if pooled_only else key_mask
         q = _split_heads(x @ tensors[f"{prefix}.attn.w_q"], b, heads)
         k = _split_heads(x @ tensors[f"{prefix}.attn.w_k"], b, heads)
         v = _split_heads(x @ tensors[f"{prefix}.attn.w_v"], b, heads)
@@ -317,7 +314,7 @@ def padded_forward(params, batch, training=False, dropout_rng=None):
         ctx_merged = _merge_heads(ctx)
         attn_out = ctx_merged @ tensors[f"{prefix}.attn.w_o"]
         if use_dropout:
-            layer["drop1"] = mask()
+            layer["drop1"] = mask(computed)
             attn_out *= layer["drop1"].reshape(b * t, d)
         attn_out += x
         x1, xhat1, inv_std1 = layer_norm(
@@ -327,7 +324,7 @@ def padded_forward(params, batch, training=False, dropout_rng=None):
         cdf = np.empty_like(u)
         ff_out = gelu(u, cdf) @ tensors[f"{prefix}.ff.w2"]
         if use_dropout:
-            layer["drop2"] = mask()
+            layer["drop2"] = mask(computed)
             ff_out *= layer["drop2"].reshape(b * t, d)
         ff_out += x1
         x2, xhat2, inv_std2 = layer_norm(

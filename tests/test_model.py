@@ -42,7 +42,6 @@ from ipsdm.tokenizer import CLS_ID, PAD_ID, SEP_ID, TokenSequence, Vocabulary, e
 from oracles import (
     dense_attention,
     finite_difference_gradient,
-    full_length_dropout_mask,
     layer_norm,
     layer_norm_backward,
 )
@@ -306,27 +305,58 @@ def test_forward_dropout_reproducible_and_off_at_eval():
     assert not np.array_equal(a, eval_logits)
 
 
-def test_dropout_masks_follow_the_full_length_stream():
-    """Masks hold only the computed rows, row by row, of masks drawn for all
-    max_len positions, so a short batch consumes the same uniforms as the
-    full-length computation and each computed row keeps its entry of them:
-    every real token below the last layer, and in the last layer of a
-    first-token model each sequence's first."""
+def test_dropout_masks_are_draws_over_the_computed_rows():
+    """Each mask is the next draw of one float64 uniform per entry of the
+    rows its layer computes, drop1 then drop2, layer by layer: every real
+    token below the last layer, and in the last layer of a first-token
+    model each sequence's first. The generator is left right after them."""
     config = ModelConfig(2, 2, 8, 16, 12, 280, dropout_rate=0.5)
     params = init(config, seed=0)
     batch = _batch(["free cash", "hi", "team"])
     lengths = np.array([seq.true_length for seq in batch])
     assert lengths.max() < config.max_len and len(set(lengths)) > 1
-    real = np.arange(config.max_len) < lengths[:, None]
     rng = np.random.default_rng(4)
     _, cache = forward(params, batch, training=True, dropout_rng=rng)
     reference = np.random.default_rng(4)
     for i, layer in enumerate(cache.layers):
+        rows = len(batch) if i == config.num_layers - 1 else int(lengths.sum())
         for key in ("drop1", "drop2"):
-            full = full_length_dropout_mask(reference, (len(batch), 12, 8), 0.5, np.float32)
-            expected = full[:, 0] if i == config.num_layers - 1 else full[real]
-            assert np.array_equal(layer[key], expected), (i, key)
+            kept = reference.random((rows, config.d_model)) >= 0.5
+            assert np.array_equal(layer[key], kept.astype(np.float32) / np.float32(0.5)), (i, key)
     assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("pooling", ["first_token", "mean"])
+def test_training_step_does_not_depend_on_max_len(pooling):
+    """A batch at max_len 16 and the same batch at 12, with the position
+    table cut to its first 12 rows and same-seed dropout generators, give
+    the same logits, masks and gradients bit for bit."""
+    config = ModelConfig(2, 2, 8, 16, 16, 280, dropout_rate=0.3, pooling=pooling)
+    params = init(config, seed=5)
+    cut = model.ModelParameters(
+        config=replace(config, max_len=12),
+        tensors={**params.tensors,
+                 "position_embedding": params.tensors["position_embedding"][:12].copy()},
+    )
+    texts = ["free cash", "hi", "team"]
+    dlogits = np.random.default_rng(6).normal(size=(len(texts), 3)).astype(np.float32)
+
+    def step(p, max_len):
+        batch = _batch(texts, max_len=max_len)
+        logits, cache = forward(p, batch, training=True, dropout_rng=np.random.default_rng(7))
+        return batch, logits, cache, backward(p, cache, dlogits)
+
+    long_batch, long_logits, long_cache, long_grads = step(params, 16)
+    short_batch, short_logits, short_cache, short_grads = step(cut, 12)
+    assert [s.true_length for s in long_batch] == [s.true_length for s in short_batch]
+    assert np.array_equal(long_logits, short_logits)
+    for long_layer, short_layer in zip(long_cache.layers, short_cache.layers):
+        for key in ("drop1", "drop2"):
+            assert np.array_equal(long_layer[key], short_layer[key]), key
+    assert not long_grads["position_embedding"][12:].any()
+    long_grads["position_embedding"] = long_grads["position_embedding"][:12]
+    for name, grad in short_grads.items():
+        assert np.array_equal(long_grads[name], grad), name
 
 
 def test_forward_zero_rate_training_equals_eval():
@@ -346,45 +376,9 @@ def test_forward_single_vs_batched_rows_agree():
         np.testing.assert_allclose(together[i], alone[0], rtol=1e-5, atol=1e-6)
 
 
-BIT_GENERATORS = {
-    "PCG64": np.random.PCG64,  # default_rng's: draws only the positions kept
-    "PCG64DXSM": np.random.PCG64DXSM,
-    "MT19937": np.random.MT19937,  # no advance: draws every position
-    "Philox": np.random.Philox,  # advance counts blocks of four draws
-}
-
-
-@given(
-    shape=st.integers(2, 40).flatmap(lambda max_len: st.tuples(
-        st.just(max_len),
-        st.lists(st.integers(0, max_len) | st.just(max_len), min_size=1, max_size=8))),
-    width=st.integers(1, 16),
-    rate=st.floats(0.0, 1.0, exclude_max=True),
-    seed=st.integers(0, 2**32 - 1),
-    bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
-    as_array=st.booleans(),
-)
-def test_dropout_mask_equals_the_cut_full_length_mask(shape, width, rate, seed,
-                                                      bit_generator, as_array):
-    """The mask cut to per-row lengths is each row's leading positions of the
-    mask drawn for all max_len, rows stacked, bit for bit, and the generator
-    is left where the full draw leaves it. Lengths may come as a numpy array,
-    whose numpy-integer entries PCG64's advance rejects uncoerced."""
-    max_len, lengths = shape
-    full_shape = (len(lengths), max_len, width)
-    rng = np.random.Generator(BIT_GENERATORS[bit_generator](seed))
-    reference = np.random.Generator(BIT_GENERATORS[bit_generator](seed))
-    mask = _dropout_mask(rng, full_shape, rate, np.float32,
-                         np.array(lengths) if as_array else lengths)
-    full = full_length_dropout_mask(reference, full_shape, rate, np.float32)
-    assert mask.dtype == np.float32
-    np.testing.assert_array_equal(mask, full[np.arange(max_len) < np.array(lengths)[:, None]])
-    assert rng.random() == reference.random()
-
-
 def test_dropout_mask_values():
     rng = np.random.default_rng(0)
-    mask = _dropout_mask(rng, (200, 50), 0.25, np.float32, [50] * 200)
+    mask = _dropout_mask(rng, (200, 50), 0.25, np.float32)
     keep = np.float32(0.75)
     assert set(np.unique(mask)) <= {np.float32(0.0), np.float32(1.0) / keep}
     assert abs(float(mask.mean()) - 1.0) < 0.05

@@ -243,6 +243,32 @@ def test_train_early_stopping_patience():
         assert len(history) == expected_epochs
 
 
+@pytest.mark.parametrize("patience, stop_after", [(1, 2), (2, 2), (2, 3)])
+def test_resume_with_early_stopping_matches_uninterrupted_run(patience, stop_after, tmp_path):
+    """Early stopping counts the epochs since the best from the history, so
+    a run stopped and resumed halts where the uninterrupted run does, with
+    its history, best epoch and tensors, bit for bit."""
+    corpus, vocab, config = _training_setup(
+        {Label.ham: 4, Label.spam: 4},
+        num_epochs=10,
+        optimizer=OptimizerHyperparams(learning_rate=0.0, variant="decoupled"),
+        early_stopping=EarlyStopping(enabled=True, patience=patience),
+    )
+    full, full_history = train(config, corpus, corpus, vocab)
+    assert len(full_history) == 1 + patience
+
+    partial, _ = train(config, corpus, corpus, vocab, stop_after_epoch=stop_after)
+    path = tmp_path / "mid.ckpt"
+    save_checkpoint(partial, path)
+    reloaded = load_checkpoint(path)
+    resumed, resumed_history = train(config, corpus, corpus, vocab, resume_from=reloaded)
+    assert [r.as_dict() for r in resumed_history] == [r.as_dict() for r in full_history]
+    assert resumed.best_epoch == full.best_epoch
+    assert set(resumed.tensors) == set(full.tensors)
+    for name in full.tensors:
+        assert np.array_equal(resumed.tensors[name], full.tensors[name]), name
+
+
 def test_train_divergence_raises_with_checkpoint():
     """The "paper" update rule multiplies zero-gradient parameters by
     -(lr*wd/eps) every step, so rows that are read in the forward pass but
