@@ -26,7 +26,7 @@ _HOMES = {
         ("ConfusionMatrix", "Scores", "confusion", "cross_entropy", "score", "softmax"), "metrics"),
     **dict.fromkeys(
         ("Checkpoint", "EpochRecord", "evaluate", "load_checkpoint", "make_batches",
-         "overfit_gap", "save_checkpoint", "train"), "trainer"),
+         "save_checkpoint", "train"), "trainer"),
 }
 
 __all__ = ["__version__", *_HOMES]

@@ -83,9 +83,9 @@ SPLIT_FILES = {"train": "train.csv", "validation": "val.csv", "test": "test.csv"
 #
 # Only balance (when some class is short of the majority), train, evaluate
 # and classify compute with numpy, so this module imports no module that
-# loads it. These names forward to their home module at call time; each of
-# those commands imports its modules before its first library call. The
-# commands look the names up here, where a tracer may wrap them.
+# loads it. These names forward to their home module, importing it on the
+# first call. The commands look the names up here, where a tracer may wrap
+# them.
 
 
 def _forward(module: str, name: str):
@@ -103,11 +103,6 @@ save_checkpoint = _forward("trainer", "save_checkpoint")
 load_checkpoint = _forward("trainer", "load_checkpoint")
 check_vocabulary = _forward("trainer", "check_vocabulary")
 predict = _forward("model", "predict")
-
-
-def _import_compute(*modules: str) -> None:
-    for module in modules:
-        importlib.import_module(f"{__package__}.{module}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +399,6 @@ def cmd_balance(args) -> int:
     max_len = config.training.model.max_len
     majority, minority = majority_and_minority(corpus.class_counts)
     if minority:
-        _import_compute("balance")
         balanced, plan = balance_corpus(
             corpus, vocab,
             k=config.balance.k, beta=config.balance.beta,
@@ -440,7 +434,6 @@ def cmd_balance(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    _import_compute("trainer")
     train_file = "train_balanced.csv" if config.balance.enabled else SPLIT_FILES["train"]
     train_path = config.path(train_file)
     if config.balance.enabled and not train_path.exists():
@@ -472,7 +465,6 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _config_from_args(args)
-    _import_compute("trainer")
     checkpoint_path = Path(args.checkpoint) if args.checkpoint else config.path("model.ckpt")
     model_name = _utf8_text(args.model_name or checkpoint_path.stem, "the model name")
     checkpoint = load_checkpoint(checkpoint_path)
@@ -495,7 +487,6 @@ def cmd_classify(args) -> int:
         raise UsageError("classify needs --text or --file")
     if args.text is not None and args.file is not None:
         raise UsageError("--text and --file are mutually exclusive")
-    _import_compute("trainer", "model")
     checkpoint = load_checkpoint(args.checkpoint)
     if args.vocab:
         vocab_path = Path(args.vocab)

@@ -25,7 +25,9 @@ class ModelConfig:
     vocab_size: int
     num_labels: int = 3
     dropout_rate: float = 0.1
-    pooling: str = "first_token"  # or "mean"
+    # The classifier reads the first-token ([CLS]) state, the only pooling;
+    # the field stays so that configs and checkpoint headers name it.
+    pooling: str = "first_token"
 
     def validate(self) -> None:
         """Raise ValueError for a size below 1, or a max_len below 2: encode
@@ -45,8 +47,8 @@ class ModelConfig:
             raise ValueError("this classifier is fixed at 3 labels (ham/spam/phishing)")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-        if self.pooling not in ("first_token", "mean"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
+        if self.pooling != "first_token":
+            raise ValueError(f"pooling must be 'first_token', got {self.pooling!r}")
 
 
 # ---------------------------------------------------------------------------

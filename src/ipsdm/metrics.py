@@ -196,8 +196,8 @@ class SplitScores:
         }
 
 
-# `ipsdm report` and trainer.overfit_gap flag, through gap_warns, a
-# validation-test accuracy gap (ModelReport.overfit_gap) above this.
+# `ipsdm report` flags, through gap_warns, a validation-test accuracy gap
+# (ModelReport.overfit_gap) above this.
 OVERFIT_GAP_THRESHOLD = 0.05
 
 

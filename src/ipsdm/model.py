@@ -6,9 +6,9 @@ trainable tensor.
 Layer layout (post-layer-norm):
     x = LN1(x + dropout(MHA(x)))
     x = LN2(x + dropout(FF(x)))        FF = GELU(x W1) W2
-Pooling takes the first-token state (default) or the mean over unmasked
-positions; either way padded positions never reach the logits, so logits are
-bit-identical under changes to padded token ids.
+The classifier reads each sequence's first-token ([CLS]) state, as BERT's
+does; padded positions never reach the logits, so logits are bit-identical
+under changes to padded token ids.
 
 Inputs are padded to max_len, but forward and backward compute only the
 batch's real tokens: activations are (N, d_model) matrices of its N real
@@ -19,10 +19,10 @@ with T the batch's longest true length, whose padded slots are zero and
 masked as keys. A batch without padding has N = batch * T and runs with no
 gather or scatter, and no key mask, at all.
 
-Only the rows pooling reads reach the logits. So the last layer of a
-first-token model computes its keys and values from every real row, but its
-queries, attention output, layer norms, feed-forward and dropout on each
-sequence's first row alone: batch rows, not N.
+Only the first rows reach the logits. So the last layer computes its keys
+and values from every real row, but its queries, attention output, layer
+norms, feed-forward and dropout on each sequence's first row alone: batch
+rows, not N.
 """
 
 import math
@@ -132,8 +132,8 @@ def gelu(u: np.ndarray, cdf: Optional[np.ndarray] = None) -> np.ndarray:
 
     cdf, if given (an array of u's shape and dtype), receives the tanh
     form's Phi(u), (1 + tanh(sqrt(2 / pi) (u + 0.044715 u^3))) / 2, from
-    which gelu_from and gelu_grad rebuild their results without another
-    tanh.
+    which u * cdf and gelu_grad rebuild their results, bit for bit, without
+    another tanh.
     """
     c = np.empty_like(u) if cdf is None else cdf
     # u^2 of |u| > 1.8e19 and u^3 of |u| > 2e13 overflow to inf, whose tanh
@@ -146,12 +146,7 @@ def gelu(u: np.ndarray, cdf: Optional[np.ndarray] = None) -> np.ndarray:
     np.tanh(c, out=c)
     c *= 0.5
     c += 0.5
-    return gelu_from(u, c)
-
-
-def gelu_from(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """gelu(u), bit for bit, from its cdf: one pass."""
-    return u * cdf
+    return u * c
 
 
 def gelu_grad(u: np.ndarray, cdf: Optional[np.ndarray] = None) -> np.ndarray:
@@ -294,11 +289,11 @@ def _query_rows(config: ModelConfig, layer: int, key_mask: np.ndarray):
     projections, as (rows, real, T) of its queries.
 
     Every layer computes all real rows (rows None, with the key mask's real
-    and T), except the last layer of a first-token model: only each
-    sequence's first row reaches the logits, so that layer computes one
-    unpadded query per sequence (rows their packed indices, real None, T 1).
-    Its keys and values still cover every real row."""
-    if layer == config.num_layers - 1 and config.pooling == "first_token":
+    and T), except the last: only each sequence's first row reaches the
+    logits, so that layer computes one unpadded query per sequence (rows
+    their packed indices, real None, T 1). Its keys and values still cover
+    every real row."""
+    if layer == config.num_layers - 1:
         return _first_tokens(key_mask.sum(axis=1)), None, 1
     return None, _real(key_mask), key_mask.shape[1]
 
@@ -327,10 +322,11 @@ def forward(
     layer's activations as (N, d_model) matrices: the real tokens, row by
     row in batch order. Attention scatters q, k and v into zero-filled
     (batch, heads, T, d_head) arrays and gathers its context back to N rows;
-    a batch without padding (N = batch * T) does neither. With first-token
-    pooling the last layer computes, past its key and value projections,
-    only each sequence's first row (see _query_rows), so its activations
-    after the input have batch rows and its probs (batch, heads, 1, T).
+    a batch without padding (N = batch * T) does neither. The last layer
+    computes, past its key and value projections, only each sequence's
+    first row (see _query_rows), so its activations after the input have
+    batch rows and its probs (batch, heads, 1, T); those rows are the
+    pooled states the classifier reads.
 
     Dropout is applied only when training=True (and dropout_rate > 0), drawing
     masks from dropout_rng in a fixed order: drop1 then drop2, layer by
@@ -415,14 +411,9 @@ def forward(
             cache.layers.append(layer)
         x = x2
 
-    if config.pooling == "first_token":
-        pooled = x  # the last layer computed only the first rows
-    else:
-        counts = lengths[:, None].astype(dtype)
-        pooled = _padded(x, real, b, t).sum(axis=1) / counts
     if keep_cache:
-        cache.pooled = pooled
-    logits = pooled @ tensors["classifier.weight"] + tensors["classifier.bias"]
+        cache.pooled = x
+    logits = x @ tensors["classifier.weight"] + tensors["classifier.bias"]
     return logits, cache
 
 
@@ -432,11 +423,11 @@ def backward(
     """Exact gradients of the loss w.r.t. every tensor, given d(loss)/d(logits).
 
     Per-token gradients run on the rows forward computed, attention's on
-    its padded view; the last layer of a first-token model passes its query
-    rows' input gradient back to the first rows and its key and value
-    gradients to every row. Weight gradients do not depend on the BLAS
-    thread count. Position-embedding rows at or past the cache's length T
-    get zero gradient.
+    its padded view; the last layer passes its query rows' input gradient
+    back to the first rows and its key and value gradients to every row.
+    Weight gradients do not depend on the BLAS thread count.
+    Position-embedding rows at or past the cache's length T get zero
+    gradient.
     """
     if cache.params_version != params.version:
         raise StaleCache(
@@ -448,20 +439,13 @@ def backward(
     grads = {name: np.zeros_like(t) for name, t in tensors.items()}
     key_mask = cache.key_mask
     real = _real(key_mask)
-    lengths = key_mask.sum(axis=1)
     b, t = cache.ids.shape
     d, heads = config.d_model, config.num_heads
     scale = 1.0 / math.sqrt(d // heads)
 
     grads["classifier.weight"] += _weight_grad(cache.pooled, dlogits)
     grads["classifier.bias"] += dlogits.sum(axis=0)
-    d_pooled = dlogits @ tensors["classifier.weight"].T
-
-    if config.pooling == "first_token":
-        dx = d_pooled  # the last layer's output is the pooled rows
-    else:
-        counts = lengths[:, None].astype(d_pooled.dtype)
-        dx = np.repeat(d_pooled / counts, lengths, axis=0)
+    dx = dlogits @ tensors["classifier.weight"].T  # the last layer's output rows
 
     for i in reversed(range(config.num_layers)):
         prefix = f"layers.{i}"
@@ -478,7 +462,7 @@ def backward(
         dff_out = dln2_in * layer["drop2"] if "drop2" in layer else dln2_in
         du = dff_out @ tensors[f"{prefix}.ff.w2"].T
         u, cdf = layer["u"], layer["cdf"]
-        grads[f"{prefix}.ff.w2"] += _weight_grad(gelu_from(u, cdf), dff_out)
+        grads[f"{prefix}.ff.w2"] += _weight_grad(u * cdf, dff_out)
         du *= gelu_grad(u, cdf)
         grads[f"{prefix}.ff.w1"] += _weight_grad(x1, du)
         dx1 = du @ tensors[f"{prefix}.ff.w1"].T

@@ -24,7 +24,6 @@ import logging
 import math
 import os
 import struct
-import tempfile
 import time
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -49,14 +48,7 @@ from .errors import (
     VersionMismatch,
     VocabularyMismatch,
 )
-from .metrics import (
-    OVERFIT_GAP_THRESHOLD,
-    SplitScores,
-    confusion,
-    cross_entropy,
-    gap_warns,
-    score,
-)
+from .metrics import SplitScores, confusion, cross_entropy, score
 from .model import ModelParameters, backward, forward
 from .optim import OptimizerState, adamw_step, init_state, lr_at
 from .shuffle import SeededStream, fisher_yates
@@ -363,34 +355,6 @@ def evaluate(
     return SplitScores(split=split_name, matrix=matrix, scores=score(matrix))
 
 
-@dataclass(frozen=True)
-class GapRecord:
-    best_val_accuracy: float
-    test_accuracy: float
-    gap: float
-    warn: bool
-    threshold: float
-
-
-def overfit_gap(
-    history: list[EpochRecord], test_report: SplitScores, threshold: float = OVERFIT_GAP_THRESHOLD
-) -> GapRecord:
-    """|best validation accuracy - test accuracy|, warning when it exceeds
-    the threshold."""
-    if not history:
-        raise ValueError("history is empty; train at least one epoch first")
-    best_val = max(record.val_accuracy for record in history)
-    test_accuracy = test_report.scores.accuracy
-    gap = abs(best_val - test_accuracy)
-    return GapRecord(
-        best_val_accuracy=best_val,
-        test_accuracy=test_accuracy,
-        gap=gap,
-        warn=gap_warns(gap, threshold),
-        threshold=threshold,
-    )
-
-
 def _canonical_json(doc: dict) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -424,14 +388,16 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     payload += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # open(), not mkstemp's 0600, so the checkpoint gets the umask's mode
+    # like every other artifact; "x" never reuses an existing file.
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    handle = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with handle:
             handle.write(payload)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ipsdm.model import LN_EPS, attention, gelu, gelu_from, gelu_grad
+from ipsdm.model import LN_EPS, attention, gelu, gelu_grad
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +276,9 @@ def padded_forward(params, batch, training=False, dropout_rng=None):
     layer norm is layer_norm above, which model._layer_norm matches bit for
     bit. Dropout draws the same masks as model.forward, one uniform per entry
     of the rows it computes, in the same order, and scatters them onto the
-    padded view; padded rows, and in the last layer of a first-token model
-    all but each sequence's first row, get a zero mask, as they reach no
-    logit. Returns (logits, cache), the cache a dict."""
+    padded view; padded rows, and in the last layer all but each sequence's
+    first row, get a zero mask, as they reach no logit. Returns (logits,
+    cache), the cache a dict."""
     config = params.config
     lengths = np.array([seq.true_length for seq in batch])
     t = int(lengths.max())
@@ -305,8 +305,7 @@ def padded_forward(params, batch, training=False, dropout_rng=None):
     for i in range(config.num_layers):
         prefix = f"layers.{i}"
         layer = {"x": x}
-        pooled_only = i == config.num_layers - 1 and config.pooling == "first_token"
-        computed = key_mask & first if pooled_only else key_mask
+        computed = key_mask & first if i == config.num_layers - 1 else key_mask
         q = _split_heads(x @ tensors[f"{prefix}.attn.w_q"], b, heads)
         k = _split_heads(x @ tensors[f"{prefix}.attn.w_k"], b, heads)
         v = _split_heads(x @ tensors[f"{prefix}.attn.w_v"], b, heads)
@@ -338,12 +337,7 @@ def padded_forward(params, batch, training=False, dropout_rng=None):
         cache["layers"].append(layer)
         x = x2
 
-    x = x.reshape(b, t, d)
-    if config.pooling == "first_token":
-        pooled = x[:, 0, :]
-    else:
-        counts = key_mask.sum(axis=1, keepdims=True).astype(dtype)
-        pooled = (x * key_mask[:, :, None]).sum(axis=1) / counts
+    pooled = x.reshape(b, t, d)[:, 0, :]
     cache["pooled"] = pooled
     logits = pooled @ tensors["classifier.weight"] + tensors["classifier.bias"]
     return logits, cache
@@ -355,21 +349,14 @@ def padded_backward(params, cache, dlogits):
     config = params.config
     tensors = params.tensors
     grads = {name: np.zeros_like(t) for name, t in tensors.items()}
-    key_mask = cache["key_mask"]
     b, t = cache["ids"].shape
     d, heads = config.d_model, config.num_heads
     scale = 1.0 / math.sqrt(d // heads)
 
     grads["classifier.weight"] += cache["pooled"].T @ dlogits
     grads["classifier.bias"] += dlogits.sum(axis=0)
-    d_pooled = dlogits @ tensors["classifier.weight"].T
-
     dx = np.zeros_like(cache["layers"][0]["x"])
-    if config.pooling == "first_token":
-        dx.reshape(b, t, d)[:, 0, :] = d_pooled
-    else:
-        counts = key_mask.sum(axis=1, keepdims=True).astype(d_pooled.dtype)
-        dx.reshape(b, t, d)[...] += (d_pooled / counts)[:, None, :] * key_mask[:, :, None]
+    dx.reshape(b, t, d)[:, 0, :] = dlogits @ tensors["classifier.weight"].T
 
     for i in reversed(range(config.num_layers)):
         prefix = f"layers.{i}"
@@ -388,7 +375,7 @@ def padded_backward(params, cache, dlogits):
             dff_out = dln2_in
         du = dff_out @ tensors[f"{prefix}.ff.w2"].T
         u, cdf = layer["u"], layer["cdf"]
-        grads[f"{prefix}.ff.w2"] += gelu_from(u, cdf).T @ dff_out
+        grads[f"{prefix}.ff.w2"] += (u * cdf).T @ dff_out
         du *= gelu_grad(u, cdf)
         grads[f"{prefix}.ff.w1"] += x1.T @ du
         dx1 = du @ tensors[f"{prefix}.ff.w1"].T

@@ -5,15 +5,19 @@ up, and its count hooks read the arguments (a list of `TokenSequence` for
 `forward`, a cache with 2-D `ids` for `backward`). A rename or a signature
 change in `src/` breaks a traced benchmark run; this test loads the tracer
 from its file, unchanged, and runs a tiny train, evaluate and predict under
-it.
+it. `bench/run.py` also writes its own model section into every workload's
+config, which must stay one the CLI accepts.
 """
 
+import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 import ipsdm.model
+from ipsdm.cli import load_config
 from ipsdm.corpus import Label
 from ipsdm.model import ModelConfig
 from ipsdm.optim import OptimizerHyperparams
@@ -23,6 +27,7 @@ from ipsdm.trainer import TrainingConfig, evaluate, train
 from conftest import make_separable_corpus
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+RUN = TRACING.with_name("run.py")
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +89,17 @@ def test_train_evaluate_and_predict_run_under_the_tracer(tracing):
     )
     assert metrics["model.backward_gflop"][0] > 0
     assert metrics["optim.steps"][0] == 3
+
+
+def test_the_bench_model_section_is_a_valid_config(tmp_path):
+    """run.py's MODEL dict, read from the file without running it, loads as
+    a config's model section and passes PipelineConfig.validate()."""
+    tree = ast.parse(RUN.read_text(encoding="utf-8"))
+    (model,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["MODEL"]
+    ]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": model}), encoding="utf-8")
+    load_config(path).validate()

@@ -947,6 +947,7 @@ def test_config_with_unknown_keys_is_rejected(tmp_path, capsys):
         ("training", {"num_epochs": "3"}, None, [], "training.num_epochs"),
         (None, {}, "-1", [], "seed"),
         (None, {}, None, ["--seed", "-2"], "seed"),
+        ("model", {"pooling": "mean"}, None, [], "pooling"),
     ],
 )
 def test_malformed_config_value_exits_input_before_writing(
@@ -1142,8 +1143,6 @@ _MOVED = [
     ("balance", "DEFAULT_BETA", "config"),
     ("balance", "check_params", "config"),
     ("balance", "balance_report", "corpus"),
-    ("trainer", "OVERFIT_GAP_THRESHOLD", "metrics"),
-    ("trainer", "gap_warns", "metrics"),
 ]
 
 

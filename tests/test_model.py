@@ -32,7 +32,6 @@ from ipsdm.model import (
     backward,
     forward,
     gelu,
-    gelu_from,
     gelu_grad,
     init,
     predict,
@@ -241,17 +240,15 @@ def test_forward_zero_head_gives_zero_logits():
 
 def test_forward_inference_deterministic():
     """Repeated inference gives the same logits, and so does inference
-    that keeps no cache: for a padded batch and an unpadded batch of one,
-    under either pooling."""
-    for pooling in ("first_token", "mean"):
-        params = init(replace(SMALL, pooling=pooling), seed=5)
-        for batch in (_batch(TEXTS), _batch(TEXTS[:1])):
-            first, cache = forward(params, batch, training=False)
-            second, _ = forward(params, batch, training=False)
-            uncached, none = forward(params, batch, training=False, keep_cache=False)
-            assert cache is not None and none is None
-            assert np.array_equal(first, second), pooling
-            assert np.array_equal(first, uncached), pooling
+    that keeps no cache: for a padded batch and an unpadded batch of one."""
+    params = init(SMALL, seed=5)
+    for batch in (_batch(TEXTS), _batch(TEXTS[:1])):
+        first, cache = forward(params, batch, training=False)
+        second, _ = forward(params, batch, training=False)
+        uncached, none = forward(params, batch, training=False, keep_cache=False)
+        assert cache is not None and none is None
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, uncached)
 
 
 def test_forward_duplicated_sequence_gets_identical_rows():
@@ -261,9 +258,8 @@ def test_forward_duplicated_sequence_gets_identical_rows():
     assert np.array_equal(logits[0], logits[1])
 
 
-@pytest.mark.parametrize("pooling", ["first_token", "mean"])
-def test_forward_padding_invariance_is_bit_exact(pooling):
-    config = ModelConfig(2, 2, 8, 16, 12, 280, dropout_rate=0.0, pooling=pooling)
+def test_forward_padding_invariance_is_bit_exact():
+    config = ModelConfig(2, 2, 8, 16, 12, 280, dropout_rate=0.0)
     params = init(config, seed=8)
     seq = _batch(["hi!"])[0]
     assert seq.true_length < len(seq.ids)
@@ -308,8 +304,8 @@ def test_forward_dropout_reproducible_and_off_at_eval():
 def test_dropout_masks_are_draws_over_the_computed_rows():
     """Each mask is the next draw of one float64 uniform per entry of the
     rows its layer computes, drop1 then drop2, layer by layer: every real
-    token below the last layer, and in the last layer of a first-token
-    model each sequence's first. The generator is left right after them."""
+    token below the last layer, and in the last layer each sequence's
+    first. The generator is left right after them."""
     config = ModelConfig(2, 2, 8, 16, 12, 280, dropout_rate=0.5)
     params = init(config, seed=0)
     batch = _batch(["free cash", "hi", "team"])
@@ -326,12 +322,11 @@ def test_dropout_masks_are_draws_over_the_computed_rows():
     assert rng.random() == reference.random()
 
 
-@pytest.mark.parametrize("pooling", ["first_token", "mean"])
-def test_training_step_does_not_depend_on_max_len(pooling):
+def test_training_step_does_not_depend_on_max_len():
     """A batch at max_len 16 and the same batch at 12, with the position
     table cut to its first 12 rows and same-seed dropout generators, give
     the same logits, masks and gradients bit for bit."""
-    config = ModelConfig(2, 2, 8, 16, 16, 280, dropout_rate=0.3, pooling=pooling)
+    config = ModelConfig(2, 2, 8, 16, 16, 280, dropout_rate=0.3)
     params = init(config, seed=5)
     cut = model.ModelParameters(
         config=replace(config, max_len=12),
@@ -432,8 +427,8 @@ def test_gelu_grad_matches_central_differences():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_reuses_its_tanh_bit_for_bit(dtype):
-    """gelu_grad and gelu_from, given the cdf that gelu left, equal
-    gelu_grad(u) and gelu(u) exactly."""
+    """gelu with a cdf to fill equals gelu without one, and gelu_grad given
+    that cdf equals gelu_grad(u), exactly."""
     u = np.random.default_rng(3).normal(0.0, 3.0, size=(4, 7, 33)).astype(dtype)
     u[0, 0, :6] = [0.0, -0.0, 40.0, -40.0, 1e30, -1e30]
     cdf = np.empty_like(u)
@@ -441,7 +436,6 @@ def test_gelu_reuses_its_tanh_bit_for_bit(dtype):
     assert h.dtype == cdf.dtype == dtype
     # bytes, so that -0.0 and +0.0 count as different
     assert h.tobytes() == gelu(u).tobytes()
-    assert gelu_from(u, cdf).tobytes() == gelu(u).tobytes()
     assert gelu_grad(u, cdf).tobytes() == gelu_grad(u).tobytes()
 
 
@@ -551,15 +545,14 @@ def _gradcheck_params(config, seed):
     return params
 
 
-@pytest.mark.parametrize("pooling", ["first_token", "mean"])
-def test_gradients_match_finite_differences(pooling):
+def test_gradients_match_finite_differences():
     """Central differences (step 1e-5, 64-bit) vs the analytic gradients,
     relative error < 1e-4, for sampled positions in every parameter tensor.
     The relative error uses max(|analytic|, |numeric|, 1e-6) as denominator
     so exact zeros stay well-defined."""
     config = ModelConfig(
         num_layers=2, num_heads=2, d_model=8, d_ff=16, max_len=12,
-        vocab_size=280, dropout_rate=0.0, pooling=pooling,
+        vocab_size=280, dropout_rate=0.0,
     )
     params = _gradcheck_params(config, seed=4)
     batch = _batch(["free cash now", "team meeting notes"])

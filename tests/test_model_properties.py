@@ -72,14 +72,13 @@ def _assert_close(actual, desired, name):
 
 @given(
     true_lengths=st.lists(lengths, min_size=1, max_size=4),
-    pooling=st.sampled_from(["first_token", "mean"]),
     dtype=st.sampled_from([np.float64, np.float32]),
     seed=st.integers(0, 2**16),
 )
-def test_trimmed_pass_matches_full_length_pass(true_lengths, pooling, dtype, seed):
+def test_trimmed_pass_matches_full_length_pass(true_lengths, dtype, seed):
     config = ModelConfig(
         num_layers=2, num_heads=2, d_model=8, d_ff=16, max_len=MAX_LEN, vocab_size=VOCAB,
-        dropout_rate=0.0, pooling=pooling,
+        dropout_rate=0.0,
     )
     params = _params(config, seed, dtype)
     rng = np.random.default_rng(seed)
@@ -107,17 +106,16 @@ def test_trimmed_pass_matches_full_length_pass(true_lengths, pooling, dtype, see
 
 @given(
     true_lengths=batch_lengths,
-    pooling=st.sampled_from(["first_token", "mean"]),
     num_layers=st.integers(1, 3),
     dtype=st.sampled_from([np.float64, np.float32]),
     dropout_rate=st.sampled_from([0.0, 0.3]),
     seed=st.integers(0, 2**16),
 )
-def test_packed_pass_matches_padded_oracle(true_lengths, pooling, num_layers, dtype,
-                                           dropout_rate, seed):
+def test_packed_pass_matches_padded_oracle(true_lengths, num_layers, dtype, dropout_rate,
+                                           seed):
     config = ModelConfig(
         num_layers=num_layers, num_heads=2, d_model=8, d_ff=16, max_len=MAX_LEN,
-        vocab_size=VOCAB, dropout_rate=dropout_rate, pooling=pooling,
+        vocab_size=VOCAB, dropout_rate=dropout_rate,
     )
     params = _params(config, seed, dtype)
     rng = np.random.default_rng(seed)
@@ -136,18 +134,12 @@ def test_packed_pass_matches_padded_oracle(true_lengths, pooling, num_layers, dt
         per_token += ["drop1", "drop2"]
     for i, layer in enumerate(cache.layers):
         assert layer["x"].shape[0] == sum(true_lengths), (i, "x")
-        pooled_only = i == num_layers - 1 and pooling == "first_token"
-        rows = len(true_lengths) if pooled_only else sum(true_lengths)
+        rows = len(true_lengths) if i == num_layers - 1 else sum(true_lengths)
         for key in per_token:
             assert layer[key].shape[0] == rows, (i, key)
     assert set(grads) == set(oracle_grads)
     # The oracle computes every row of the last layer; OpenBLAS rounds a
     # product of batch rows apart from one of N rows, even in float64.
-    if len(set(true_lengths)) == 1 and pooling == "mean":
-        assert np.array_equal(logits, oracle_logits)
-        for name, grad in grads.items():
-            assert np.array_equal(grad, oracle_grads[name]), name
-        return
     _assert_close(logits, oracle_logits, "logits")
     for name, grad in grads.items():
         assert grad.dtype == dtype

@@ -1,6 +1,8 @@
 """Training loop, checkpoint container, resume equivalence, gap reporting."""
 
 import json
+import os
+import stat
 import struct
 import weakref
 import zlib
@@ -20,22 +22,24 @@ from ipsdm.errors import (
     VersionMismatch,
     VocabularyMismatch,
 )
-from ipsdm.metrics import SplitScores, confusion, score
+from ipsdm.metrics import (
+    OVERFIT_GAP_THRESHOLD,
+    ModelReport,
+    SplitScores,
+    confusion,
+    gap_warns,
+    score,
+)
 from ipsdm.model import ModelConfig, init
 from ipsdm.optim import OptimizerHyperparams
 from ipsdm.trainer import (
-    OVERFIT_GAP_THRESHOLD,
     Checkpoint,
     EarlyStopping,
-    EpochRecord,
-    GapRecord,
     TrainingConfig,
     check_vocabulary,
     evaluate,
-    gap_warns,
     load_checkpoint,
     make_batches,
-    overfit_gap,
     save_checkpoint,
     train,
 )
@@ -465,10 +469,10 @@ def test_check_vocabulary_compares_hash_and_size(memorized):
 
 
 # ---------------------------------------------------------------------------
-# overfit gap
+# overfit gap: ModelReport.overfit_gap, flagged through gap_warns
 
 
-def _split_scores(correct_per_class, wrong):
+def _split_scores(correct_per_class, wrong, split="test"):
     """SplitScores with a hand-built confusion matrix."""
     true, pred = [], []
     for c, n in enumerate(correct_per_class):
@@ -478,43 +482,40 @@ def _split_scores(correct_per_class, wrong):
         true.extend([t] * n)
         pred.extend([p] * n)
     matrix = confusion(true, pred)
-    return SplitScores(split="test", matrix=matrix, scores=score(matrix))
+    return SplitScores(split=split, matrix=matrix, scores=score(matrix))
+
+
+def _model_report(validation, test):
+    return ModelReport(
+        model="m", validation=_split_scores(*validation, split="validation"),
+        test=_split_scores(*test),
+    )
 
 
 def test_overfit_gap_reported_to_four_decimals():
-    history = [
-        EpochRecord(1, 0.5, 0.4, 0.9600, 2e-5),
-        EpochRecord(2, 0.3, 0.3, 0.9750, 2e-5),
-        EpochRecord(3, 0.2, 0.35, 0.9700, 2e-5),
-    ]
-    # 971 correct out of 1000 -> test accuracy exactly 971/1000
-    report = _split_scores([400, 300, 271], [(0, 1, 10), (1, 0, 10), (1, 2, 9)])
-    assert report.scores.accuracy == pytest.approx(0.9710, abs=1e-12)
-    gap = overfit_gap(history, report)
-    assert isinstance(gap, GapRecord)
-    assert gap.best_val_accuracy == 0.9750
-    assert gap.gap == pytest.approx(0.0040, abs=1e-12)
-    assert round(gap.gap, 4) == 0.0040
-    assert not gap.warn
+    # 39 of 40 validation texts and 971 of 1000 test texts correct
+    report = _model_report(([14, 13, 12], [(0, 1, 1)]),
+                           ([400, 300, 271], [(0, 1, 10), (1, 0, 10), (1, 2, 9)]))
+    assert report.validation.scores.accuracy == 0.975
+    assert report.test.scores.accuracy == pytest.approx(0.9710, abs=1e-12)
+    assert report.overfit_gap == pytest.approx(0.0040, abs=1e-12)
+    assert f"{report.overfit_gap:+.4f}" == "+0.0040"
+    assert not gap_warns(report.overfit_gap)
 
 
 def test_overfit_gap_warns_over_threshold():
-    history = [EpochRecord(1, 0.5, 0.4, 0.98, 2e-5)]
-    report = _split_scores([45, 30, 15], [(0, 2, 10)])  # accuracy 0.9
-    gap = overfit_gap(history, report, threshold=0.05)
-    assert gap.gap == pytest.approx(0.08, abs=1e-12)
-    assert gap.warn
-    relaxed = overfit_gap(history, report, threshold=0.10)
-    assert not relaxed.warn
+    report = _model_report(([17, 16, 16], [(0, 1, 1)]),  # accuracy 0.98
+                           ([45, 30, 15], [(0, 2, 10)]))  # accuracy 0.9
+    assert report.overfit_gap == pytest.approx(0.08, abs=1e-12)
+    assert gap_warns(report.overfit_gap, threshold=0.05)
+    assert not gap_warns(report.overfit_gap, threshold=0.10)
 
 
 def test_overfit_gap_does_not_warn_at_exactly_the_threshold():
-    history = [EpochRecord(1, 0.5, 0.4, 1.0, 2e-5)]
-    report = _split_scores([7, 6, 6], [(1, 2, 1)])  # 19 of 20 correct
-    assert 1.0 - report.scores.accuracy > OVERFIT_GAP_THRESHOLD  # float error
-    gap = overfit_gap(history, report)
-    assert round(gap.gap, 4) == 0.05
-    assert not gap.warn
+    report = _model_report(([1, 1, 1], []), ([7, 6, 6], [(1, 2, 1)]))  # 19 of 20 correct
+    assert report.overfit_gap > OVERFIT_GAP_THRESHOLD  # float error
+    assert round(report.overfit_gap, 4) == 0.05
+    assert not gap_warns(report.overfit_gap)
 
 
 def test_gap_warns_strictly_above_the_threshold():
@@ -522,12 +523,6 @@ def test_gap_warns_strictly_above_the_threshold():
     assert gap_warns(0.0501) and gap_warns(-0.0501)
     assert not gap_warns(0.0499)
     assert gap_warns(0.08, threshold=0.05) and not gap_warns(0.08, threshold=0.10)
-
-
-def test_overfit_gap_needs_history():
-    report = _split_scores([1, 1, 1], [])
-    with pytest.raises(ValueError):
-        overfit_gap([], report)
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +681,8 @@ _FORGED_CHECKPOINTS = [
      "invalid model config"),
     ("unknown pooling", False, None, lambda h: h["model_config"].update(pooling="max"),
      "invalid model config"),
+    ("mean pooling", False, None, lambda h: h["model_config"].update(pooling="mean"),
+     "invalid model config"),
     ("tensor dropped", False, lambda t: t.pop("classifier.bias"), None, "classifier.bias"),
     ("tensor added", False, lambda t: t.update(extra=np.zeros(2, np.float32)), None, "'extra'"),
     ("tensor transposed", False, lambda t: t.update({W1: t[W1].T}), None,
@@ -730,6 +727,20 @@ def test_checkpoint_write_is_atomic(memorized, tmp_path):
     save_checkpoint(checkpoint, target)
     assert target.exists()
     assert [p.name for p in target.parent.iterdir()] == ["model.ckpt"]
+
+
+def test_checkpoint_file_mode_follows_the_umask(memorized, tmp_path):
+    """The checkpoint gets the mode open() gives any other artifact."""
+    _, _, _, checkpoint, _ = memorized
+    old = os.umask(0o022)
+    try:
+        save_checkpoint(checkpoint, tmp_path / "model.ckpt")
+        with open(tmp_path / "other.json", "w", encoding="utf-8") as fh:
+            fh.write("{}\n")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "model.ckpt").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "other.json").stat().st_mode)
 
 
 def test_final_checkpoint_best_flag_falls_back(memorized):
