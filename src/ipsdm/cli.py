@@ -103,6 +103,8 @@ save_checkpoint = _forward("trainer", "save_checkpoint")
 load_checkpoint = _forward("trainer", "load_checkpoint")
 check_vocabulary = _forward("trainer", "check_vocabulary")
 predict = _forward("model", "predict")
+# Loads ctypes, which only train and evaluate need.
+reuse_freed_memory = _forward("heap", "reuse_freed_memory")
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +436,7 @@ def cmd_balance(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
+    reuse_freed_memory()  # each step frees its arrays, and the next allocates them again
     train_file = "train_balanced.csv" if config.balance.enabled else SPLIT_FILES["train"]
     train_path = config.path(train_file)
     if config.balance.enabled and not train_path.exists():
@@ -465,6 +468,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _config_from_args(args)
+    reuse_freed_memory()  # each batch frees its arrays, and the next allocates them again
     checkpoint_path = Path(args.checkpoint) if args.checkpoint else config.path("model.ckpt")
     model_name = _utf8_text(args.model_name or checkpoint_path.stem, "the model name")
     checkpoint = load_checkpoint(checkpoint_path)
@@ -659,11 +663,12 @@ def main(argv=None) -> int:
 
 def _log_usage(command: str, wall_s: float) -> None:
     """Log a finished stage's wall time and its process's CPU time and peak
-    resident set size (ru_maxrss, KiB on Linux)."""
+    resident set size (ru_maxrss: bytes on macOS, KiB elsewhere)."""
     usage = resource.getrusage(resource.RUSAGE_SELF)
+    kib = usage.ru_maxrss / 1024 if sys.platform == "darwin" else usage.ru_maxrss
     log.info(
         "%s finished: wall %.2fs, cpu %.2fs, peak rss %.1f MB",
-        command, wall_s, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024,
+        command, wall_s, usage.ru_utime + usage.ru_stime, kib / 1024,
     )
 
 

@@ -335,10 +335,14 @@ def forward(
     truncation.
 
     The cache, which only backward reads, is built when keep_cache is True
-    (the default). With keep_cache=False the same loop keeps no layer's
-    activations, so each is freed once the next layer has read it, and the
-    call returns (logits, None): the logits are the same bit for bit.
-    Inference (validation, evaluate, predict) passes keep_cache=False.
+    (the default). With keep_cache=False the same loop keeps no activations
+    and drops each array at its last read: q, k, v, the scores and the
+    per-head context once the context is merged; the merged context once
+    it is projected; the layer's input once the residual is added; the
+    attention output once layer norm has read it; gelu's u and cdf once
+    gelu(u) @ w2 is computed. So a layer holds at once only what it still
+    reads, and the call returns (logits, None) with the same logits bit for
+    bit. Inference (validation, evaluate, predict) passes keep_cache=False.
     """
     config = params.config
     for seq in batch:
@@ -372,9 +376,11 @@ def forward(
 
     # Attention needs no key bias where no key is padded.
     attn_mask = None if real is None else key_mask[:, None, :]
+    # Each array goes into the cache, if one is kept, when it is built, and
+    # its name is dropped at its last read: inference holds nothing past it.
     for i in range(config.num_layers):
         prefix = f"layers.{i}"
-        layer: dict = {"x": x}
+        layer: dict = {"x": x} if keep_cache else {}
         rows, q_real, q_t = _query_rows(config, i, key_mask)
         xq = x if rows is None else x[rows]
         q = _split_heads(_padded(xq @ tensors[f"{prefix}.attn.w_q"], q_real, b, q_t), heads)
@@ -382,34 +388,41 @@ def forward(
         v = _split_heads(_padded(x @ tensors[f"{prefix}.attn.w_v"], real, b, t), heads)
         ctx, probs = attention(q, k, v, key_mask=attn_mask)
         ctx_merged = _merge_heads(ctx, q_real)
+        if keep_cache:
+            layer.update(q=q, k=k, v=v, probs=probs, ctx_merged=ctx_merged)
+        del q, k, v, ctx, probs
         attn_out = ctx_merged @ tensors[f"{prefix}.attn.w_o"]
+        del ctx_merged
         if use_dropout:
             layer["drop1"] = _dropout_mask(dropout_rng, attn_out.shape, config.dropout_rate, dtype)
             attn_out *= layer["drop1"]
         attn_out += xq
+        del x, xq
         x1, xhat1, inv_std1 = _layer_norm(
             attn_out, tensors[f"{prefix}.ln1.scale"], tensors[f"{prefix}.ln1.offset"]
         )
+        if keep_cache:
+            layer.update(xhat1=xhat1, inv_std1=inv_std1, x1=x1)
+        del attn_out, xhat1, inv_std1
         u = x1 @ tensors[f"{prefix}.ff.w1"]
         cdf = np.empty_like(u)
         ff_out = gelu(u, cdf) @ tensors[f"{prefix}.ff.w2"]
+        if keep_cache:
+            # gelu(u) is not kept, so the cache grows by nothing: backward
+            # rebuilds it from cdf in one pass.
+            layer.update(u=u, cdf=cdf)
+        del u, cdf
         if use_dropout:
             layer["drop2"] = _dropout_mask(dropout_rng, ff_out.shape, config.dropout_rate, dtype)
             ff_out *= layer["drop2"]
         ff_out += x1
-        x2, xhat2, inv_std2 = _layer_norm(
+        x, xhat2, inv_std2 = _layer_norm(
             ff_out, tensors[f"{prefix}.ln2.scale"], tensors[f"{prefix}.ln2.offset"]
         )
         if keep_cache:
-            # gelu(u) is not kept, so the cache grows by nothing: backward
-            # rebuilds it from cdf in one pass.
-            layer.update(
-                q=q, k=k, v=v, probs=probs, ctx_merged=ctx_merged,
-                xhat1=xhat1, inv_std1=inv_std1, x1=x1,
-                u=u, cdf=cdf, xhat2=xhat2, inv_std2=inv_std2,
-            )
+            layer.update(xhat2=xhat2, inv_std2=inv_std2)
             cache.layers.append(layer)
-        x = x2
+        del ff_out, x1, xhat2, inv_std2
 
     if keep_cache:
         cache.pooled = x

@@ -297,8 +297,9 @@ def train(
                 adamw_step(params.tensors, grads, opt_state, config.optimizer, learning_rate=step_lr)
                 params.version += 1
                 loss_sum += loss * len(batch_indices)
-            # Per epoch, not per step: glibc trims a freed heap top, and the next step refaults it.
-            cache = grads = None
+                # Freed before the next forward builds its cache, so one
+                # step's arrays are alive at a time.
+                del logits, cache, dlogits, grads
             # An update can leave finite gradients but parameters that
             # overflow on the next forward, which may be this one.
             val_loss, val_preds = _eval_pass(params, val_seqs, val_labels, config.val_batch_size)

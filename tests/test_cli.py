@@ -5,7 +5,9 @@ import json
 import hashlib
 import importlib
 import os
+import platform
 import re
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -26,6 +28,7 @@ from ipsdm.model import ModelConfig, init
 from ipsdm.tokenizer import load_vocab, save_vocab, train_vocab, vocab_sha256
 from ipsdm.trainer import Checkpoint, save_checkpoint
 import ipsdm
+from ipsdm import heap
 
 from conftest import make_separable_corpus, rewrite_checkpoint
 from ipsdm.corpus import Label
@@ -156,6 +159,30 @@ def test_a_stage_that_succeeds_logs_its_wall_cpu_and_peak_rss(tmp_path, caplog):
     assert match, record.getMessage()
     _, cpu, rss = map(float, match.groups())
     assert cpu > 0 and rss > 0
+
+
+@pytest.mark.parametrize("system, maxrss", [("linux", 80 * 1024), ("darwin", 80 * 1024 * 1024)])
+def test_the_peak_rss_line_reads_megabytes_on_each_platform(monkeypatch, caplog, system, maxrss):
+    """getrusage's ru_maxrss is in KiB on Linux and in bytes on macOS; an
+    80 MB peak reads 80.0 MB on both."""
+    usage = resource.struct_rusage((1.25, 0.5, maxrss) + (0,) * 13)
+    monkeypatch.setattr(sys, "platform", system)
+    monkeypatch.setattr(resource, "getrusage", lambda who: usage)
+    with caplog.at_level("INFO", logger="ipsdm"):
+        ipsdm.cli._log_usage("train", 2.0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "train finished: wall 2.00s, cpu 1.75s, peak rss 80.0 MB"
+    ]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_the_heap_policy_applies_on_glibc():
+    assert heap.reuse_freed_memory() is True
+
+
+def test_the_heap_policy_does_nothing_without_mallopt(monkeypatch):
+    monkeypatch.setattr(heap.ctypes, "CDLL", lambda name: object())
+    assert heap.reuse_freed_memory() is False
 
 
 def test_prepare_rerun_is_byte_identical(tmp_path):

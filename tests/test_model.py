@@ -8,6 +8,7 @@ the classifier head) through a single independent route.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -36,7 +37,7 @@ from ipsdm.model import (
     init,
     predict,
 )
-from ipsdm.tokenizer import CLS_ID, PAD_ID, SEP_ID, TokenSequence, Vocabulary, encode
+from ipsdm.tokenizer import CLS_ID, PAD_ID, SEP_ID, UNK_ID, TokenSequence, Vocabulary, encode
 
 from oracles import (
     dense_attention,
@@ -249,6 +250,42 @@ def test_forward_inference_deterministic():
         assert cache is not None and none is None
         assert np.array_equal(first, second)
         assert np.array_equal(first, uncached)
+
+
+def test_inference_peak_stays_below_one_layer_of_attention_and_feed_forward_arrays():
+    """forward(keep_cache=False) drops each array at its last read. Held to
+    the layer's end instead, a full layer's padded q, k, v, attention
+    scores and per-head context would be alive beside its feed-forward's u
+    and cdf; the traced peak of an inference forward on a padded batch
+    stays below those arrays' bytes alone, and its logits are those of
+    keep_cache=True, bit for bit. Three layers, so that a middle layer's
+    attention runs after a full layer's feed-forward."""
+    b, t, d, heads, d_ff = 16, 64, 32, 4, 128
+    config = ModelConfig(3, heads, d, d_ff, t, 280)
+    params = init(config, seed=2)
+    rng = np.random.default_rng(0)
+    lengths = np.linspace(t // 2 + 1, t, b).astype(int)  # T = t, every row but one padded
+    batch = [
+        TokenSequence([CLS_ID, *rng.integers(UNK_ID + 1, 280, n - 2).tolist(), SEP_ID]
+                      + [PAD_ID] * (t - n), int(n))
+        for n in lengths
+    ]
+    item = np.dtype(np.float32).itemsize
+    padded = b * t * d * item  # q, k, v and the per-head context, each
+    scores = b * heads * t * t * item
+    ff = int(lengths.sum()) * d_ff * item  # u and cdf, each
+    bound = 4 * padded + scores + 2 * ff
+
+    cached, _ = forward(params, batch)
+    forward(params, batch, keep_cache=False)  # first-call allocations are not the pass's
+    tracemalloc.start()
+    try:
+        logits, none = forward(params, batch, keep_cache=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert none is None and np.array_equal(logits, cached)
+    assert peak < bound, (peak, bound)
 
 
 def test_forward_duplicated_sequence_gets_identical_rows():

@@ -338,39 +338,56 @@ def test_train_bit_identical_across_runs():
 def test_inference_keeps_no_cache_and_validation_starts_after_the_step_state_is_freed(
     monkeypatch,
 ):
-    """Each epoch's validation pass starts once the cache of the epoch's last
-    training forward is gone, and every inference forward, from train,
-    evaluate and predict, asks forward to keep no cache."""
+    """Each training forward after the first starts once the previous
+    step's cache and gradients are gone, and so does each epoch's
+    validation pass; every inference forward, from train, evaluate and
+    predict, asks forward to keep no cache."""
     corpus, vocab, config = _training_setup(
         {Label.ham: 5, Label.spam: 5}, num_epochs=2, train_batch_size=4
     )
-    last_training_cache = []
+    last_step = {}  # weakrefs to the last training step's cache and one gradient
     inference_calls = []
+    freed_at_step = []
     freed_at_validation = []
+
+    def freed():
+        return all(ref() is None for ref in last_step.values())
 
     def spy(module):
         real = module.forward
 
         def forward(*args, **kwargs):
+            training = kwargs.get("training", args[2] if len(args) > 2 else False)
+            if training and last_step:
+                freed_at_step.append(freed())
             logits, cache = real(*args, **kwargs)
-            if kwargs.get("training", args[2] if len(args) > 2 else False):
-                last_training_cache[:] = [weakref.ref(cache)]
+            if training:
+                last_step["cache"] = weakref.ref(cache)
             else:
                 inference_calls.append((module.__name__, kwargs.get("keep_cache"), cache))
             return logits, cache
 
         monkeypatch.setattr(module, "forward", forward)
 
+    real_backward = ipsdm.trainer.backward
+
+    def backward(*args, **kwargs):
+        grads = real_backward(*args, **kwargs)
+        last_step["grad"] = weakref.ref(grads["token_embedding"])
+        return grads
+
     real_eval_pass = ipsdm.trainer._eval_pass
 
     def eval_pass(*args, **kwargs):
-        freed_at_validation.append(last_training_cache[0]() is None)
+        freed_at_validation.append(freed())
         return real_eval_pass(*args, **kwargs)
 
     spy(ipsdm.trainer)
     spy(ipsdm.model)
+    monkeypatch.setattr(ipsdm.trainer, "backward", backward)
     monkeypatch.setattr(ipsdm.trainer, "_eval_pass", eval_pass)
     checkpoint, _ = train(config, corpus, corpus, vocab)
+    assert freed_at_step == [True] * 5  # 3 steps an epoch, 2 epochs
     assert freed_at_validation == [True, True]
     evaluate(checkpoint, corpus, vocab)
     ipsdm.model.predict(checkpoint.model_parameters(), vocab, "free cash")
