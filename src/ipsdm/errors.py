@@ -54,7 +54,8 @@ class SequenceLengthMismatch(InputError):
 
 
 class StaleCache(IpsdmError):
-    """Backward called with a cache produced by a different parameter version."""
+    """Backward called with a cache produced by a different parameter
+    version, or with one an earlier backward consumed."""
 
 
 # optim

@@ -31,11 +31,16 @@ _M_MMAP_THRESHOLD = -3
 # 16 MiB. Every array of a step then comes from the heap.
 MMAP_THRESHOLD = 2 * 64 * 4 * 128 * 128 * 4
 
-# A paper-scale training step (batch 32 x 128 tokens, the default model)
-# allocates and frees at most 88 MiB (tracemalloc's peak over one step): its
-# 42 MiB cache, 5 MiB of gradients and backward's temporaries. The trim
-# threshold is the power of two above twice that, so no step's freed memory
-# reaches it, whatever else lies free at the top of the heap.
+# A paper-scale training step (batch 32 x 128 tokens, the default model,
+# vocab 8192) allocates and frees at most 47 MiB (tracemalloc's peak over
+# one step): backward consumes the 42 MiB cache as it writes the 5 MiB of
+# gradients. Any trim threshold above twice that, 94 MiB, keeps a step's
+# freed memory mapped, whatever else lies free at the top of the heap. The
+# least such power of two, 128 MiB, trimmed a little more: paper-scale
+# `train` took 25.7 instead of 25.4 thousand minor faults and peaked at
+# 129.4 instead of 129.9 MB, with wall inside the runs' 25-37 s spread
+# (medians of 8 alternated runs on a 2-vCPU machine). Faults are what the threshold is for, so it stays at
+# the next power of two.
 TRIM_THRESHOLD = 256 << 20
 
 

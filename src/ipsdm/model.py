@@ -64,7 +64,9 @@ class ModelParameters:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations for exact backpropagation."""
+    """Intermediate activations for exact backpropagation. backward
+    consumes them: it empties layers and sets pooled to None, and only ids
+    and key_mask stay."""
 
     ids: np.ndarray
     key_mask: np.ndarray
@@ -334,15 +336,16 @@ def forward(
     uniform per entry, so training does not depend on max_len beyond
     truncation.
 
-    The cache, which only backward reads, is built when keep_cache is True
-    (the default). With keep_cache=False the same loop keeps no activations
-    and drops each array at its last read: q, k, v, the scores and the
-    per-head context once the context is merged; the merged context once
-    it is projected; the layer's input once the residual is added; the
-    attention output once layer norm has read it; gelu's u and cdf once
-    gelu(u) @ w2 is computed. So a layer holds at once only what it still
-    reads, and the call returns (logits, None) with the same logits bit for
-    bit. Inference (validation, evaluate, predict) passes keep_cache=False.
+    The cache, which only backward reads (and consumes), is built when
+    keep_cache is True (the default). With keep_cache=False the same loop
+    keeps no activations and drops each array at its last read: q, k, v,
+    the scores and the per-head context once the context is merged; the
+    merged context once it is projected; the layer's input once the
+    residual is added; the attention output once layer norm has read it;
+    gelu's u and cdf once gelu(u) @ w2 is computed. So a layer holds at
+    once only what it still reads, and the call returns (logits, None) with
+    the same logits bit for bit. Inference (validation, evaluate, predict)
+    passes keep_cache=False.
     """
     config = params.config
     for seq in batch:
@@ -441,7 +444,16 @@ def backward(
     Weight gradients do not depend on the BLAS thread count.
     Position-embedding rows at or past the cache's length T get zero
     gradient.
+
+    backward consumes the cache: it drops pooled after the classifier's
+    gradient, pops the layers from the last down and each cached array at
+    its last read, so the step holds only what it still reads. ids and
+    key_mask stay. A consumed cache raises StaleCache. Each gradient is
+    assigned from its first product, in the order of params.tensors and in
+    its tensor's dtype; only the embeddings' start from zeros.
     """
+    if cache.pooled is None:
+        raise StaleCache("cache was consumed by an earlier backward; run forward again")
     if cache.params_version != params.version:
         raise StaleCache(
             f"cache built for parameter version {cache.params_version}, "
@@ -449,79 +461,103 @@ def backward(
         )
     config = params.config
     tensors = params.tensors
-    grads = {name: np.zeros_like(t) for name, t in tensors.items()}
+    grads: dict[str, np.ndarray] = dict.fromkeys(tensors)
+
+    def put(name: str, grad: np.ndarray) -> None:
+        grads[name] = grad.astype(tensors[name].dtype, copy=False)
+
     key_mask = cache.key_mask
     real = _real(key_mask)
     b, t = cache.ids.shape
     d, heads = config.d_model, config.num_heads
     scale = 1.0 / math.sqrt(d // heads)
 
-    grads["classifier.weight"] += _weight_grad(cache.pooled, dlogits)
-    grads["classifier.bias"] += dlogits.sum(axis=0)
+    pooled, cache.pooled = cache.pooled, None
+    put("classifier.weight", _weight_grad(pooled, dlogits))
+    del pooled
+    put("classifier.bias", dlogits.sum(axis=0))
     dx = dlogits @ tensors["classifier.weight"].T  # the last layer's output rows
 
     for i in reversed(range(config.num_layers)):
         prefix = f"layers.{i}"
-        layer = cache.layers[i]
-        x_in, x1 = layer["x"], layer["x1"]
+        layer = cache.layers.pop()
         rows, q_real, q_t = _query_rows(config, i, key_mask)
 
         dln2_in, dscale2, doffset2 = _layer_norm_backward(
-            dx, layer["xhat2"], layer["inv_std2"], tensors[f"{prefix}.ln2.scale"]
+            dx, layer.pop("xhat2"), layer.pop("inv_std2"), tensors[f"{prefix}.ln2.scale"]
         )
-        grads[f"{prefix}.ln2.scale"] += dscale2
-        grads[f"{prefix}.ln2.offset"] += doffset2
+        del dx
+        put(f"{prefix}.ln2.scale", dscale2)
+        put(f"{prefix}.ln2.offset", doffset2)
 
-        dff_out = dln2_in * layer["drop2"] if "drop2" in layer else dln2_in
+        dff_out = dln2_in * layer.pop("drop2") if "drop2" in layer else dln2_in
         du = dff_out @ tensors[f"{prefix}.ff.w2"].T
-        u, cdf = layer["u"], layer["cdf"]
-        grads[f"{prefix}.ff.w2"] += _weight_grad(u * cdf, dff_out)
+        u, cdf = layer.pop("u"), layer.pop("cdf")
+        put(f"{prefix}.ff.w2", _weight_grad(u * cdf, dff_out))
+        del dff_out
         du *= gelu_grad(u, cdf)
-        grads[f"{prefix}.ff.w1"] += _weight_grad(x1, du)
+        del u, cdf
+        put(f"{prefix}.ff.w1", _weight_grad(layer.pop("x1"), du))
         dx1 = du @ tensors[f"{prefix}.ff.w1"].T
+        del du
         dx1 += dln2_in
+        del dln2_in
 
         dln1_in, dscale1, doffset1 = _layer_norm_backward(
-            dx1, layer["xhat1"], layer["inv_std1"], tensors[f"{prefix}.ln1.scale"]
+            dx1, layer.pop("xhat1"), layer.pop("inv_std1"), tensors[f"{prefix}.ln1.scale"]
         )
-        grads[f"{prefix}.ln1.scale"] += dscale1
-        grads[f"{prefix}.ln1.offset"] += doffset1
+        del dx1
+        put(f"{prefix}.ln1.scale", dscale1)
+        put(f"{prefix}.ln1.offset", doffset1)
 
-        dattn_out = dln1_in * layer["drop1"] if "drop1" in layer else dln1_in
+        dattn_out = dln1_in * layer.pop("drop1") if "drop1" in layer else dln1_in
         dctx = _padded(dattn_out @ tensors[f"{prefix}.attn.w_o"].T, q_real, b, q_t)
         dctx = _split_heads(dctx, heads)
-        grads[f"{prefix}.attn.w_o"] += _weight_grad(layer["ctx_merged"], dattn_out)
+        put(f"{prefix}.attn.w_o", _weight_grad(layer.pop("ctx_merged"), dattn_out))
+        del dattn_out
 
-        probs, q, k, v = layer["probs"], layer["q"], layer["k"], layer["v"]
+        probs = layer.pop("probs")
         dv = np.swapaxes(probs, -1, -2) @ dctx
         # softmax backward, built in place on d(loss)/d(probs); masked
         # entries have probs == 0, hence dscores == 0
-        dscores = dctx @ np.swapaxes(v, -1, -2)
+        dscores = dctx @ np.swapaxes(layer.pop("v"), -1, -2)
+        del dctx
         dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
         dscores *= probs
-        dq = dscores @ k
+        del probs
+        dq = dscores @ layer.pop("k")
         dq *= scale
-        dk = np.swapaxes(dscores, -1, -2) @ q
+        dk = np.swapaxes(dscores, -1, -2) @ layer.pop("q")
+        del dscores
         dk *= scale
 
         # The query rows' input gradient: residual plus query path.
         dxq = dln1_in  # no longer read, so the sum can build in place
+        del dln1_in
         g = _merge_heads(dq, q_real)
-        xq = x_in if rows is None else x_in[rows]
-        grads[f"{prefix}.attn.w_q"] += _weight_grad(xq, g)
+        del dq
+        x_in = layer.pop("x")
+        put(f"{prefix}.attn.w_q", _weight_grad(x_in if rows is None else x_in[rows], g))
         dxq += g @ tensors[f"{prefix}.attn.w_q"].T
         if rows is None:
             dx = dxq
         else:
             dx = np.zeros_like(x_in)
             dx[rows] = dxq
-        for name, g in (("w_k", dk), ("w_v", dv)):
-            g = _merge_heads(g, real)
-            weight = f"{prefix}.attn.{name}"
-            grads[weight] += _weight_grad(x_in, g)
-            dx += g @ tensors[weight].T
+        del dxq
+        g = _merge_heads(dk, real)
+        del dk
+        put(f"{prefix}.attn.w_k", _weight_grad(x_in, g))
+        dx += g @ tensors[f"{prefix}.attn.w_k"].T
+        g = _merge_heads(dv, real)
+        del dv
+        put(f"{prefix}.attn.w_v", _weight_grad(x_in, g))
+        dx += g @ tensors[f"{prefix}.attn.w_v"].T
+        del g, x_in
 
+    grads["position_embedding"] = np.zeros_like(tensors["position_embedding"])
     grads["position_embedding"][:t] += _padded(dx, real, b, t).sum(axis=0)
+    grads["token_embedding"] = np.zeros_like(tensors["token_embedding"])
     np.add.at(grads["token_embedding"], cache.ids[key_mask], dx)
     return grads
 

@@ -252,6 +252,19 @@ def test_forward_inference_deterministic():
         assert np.array_equal(first, uncached)
 
 
+def _padded_batch(b, t, rng):
+    """b sequences of t // 2 + 1 up to t tokens from a 280-id vocabulary,
+    padded to max_len t: T = t, and every row but one is padded. Returns
+    (true lengths, batch)."""
+    lengths = np.linspace(t // 2 + 1, t, b).astype(int)
+    batch = [
+        TokenSequence([CLS_ID, *rng.integers(UNK_ID + 1, 280, n - 2).tolist(), SEP_ID]
+                      + [PAD_ID] * (t - n), int(n))
+        for n in lengths
+    ]
+    return lengths, batch
+
+
 def test_inference_peak_stays_below_one_layer_of_attention_and_feed_forward_arrays():
     """forward(keep_cache=False) drops each array at its last read. Held to
     the layer's end instead, a full layer's padded q, k, v, attention
@@ -263,13 +276,7 @@ def test_inference_peak_stays_below_one_layer_of_attention_and_feed_forward_arra
     b, t, d, heads, d_ff = 16, 64, 32, 4, 128
     config = ModelConfig(3, heads, d, d_ff, t, 280)
     params = init(config, seed=2)
-    rng = np.random.default_rng(0)
-    lengths = np.linspace(t // 2 + 1, t, b).astype(int)  # T = t, every row but one padded
-    batch = [
-        TokenSequence([CLS_ID, *rng.integers(UNK_ID + 1, 280, n - 2).tolist(), SEP_ID]
-                      + [PAD_ID] * (t - n), int(n))
-        for n in lengths
-    ]
+    lengths, batch = _padded_batch(b, t, np.random.default_rng(0))
     item = np.dtype(np.float32).itemsize
     padded = b * t * d * item  # q, k, v and the per-head context, each
     scores = b * heads * t * t * item
@@ -285,6 +292,48 @@ def test_inference_peak_stays_below_one_layer_of_attention_and_feed_forward_arra
     finally:
         tracemalloc.stop()
     assert none is None and np.array_equal(logits, cached)
+    assert peak < bound, (peak, bound)
+
+
+def test_training_step_peak_stays_below_cache_gradients_and_one_layer_of_temporaries():
+    """backward consumes its cache, drops each temporary at its last read
+    and writes each gradient once. The traced peak of a training forward
+    plus backward on a padded batch then stays below the cache's bytes,
+    plus the gradients', plus one layer's largest backward temporaries:
+    the attention's dscores and its dscores * probs product, b*h*T*T each,
+    or the feed-forward's du and gelu_grad's two N*d_ff arrays. A backward
+    that holds the whole cache, a zeroed gradient set and the temporaries
+    of the layer above exceeds it."""
+    b, t, d, heads, d_ff = 16, 64, 32, 4, 128
+    config = ModelConfig(3, heads, d, d_ff, t, 280, dropout_rate=0.1)
+    params = init(config, seed=2)
+    rng = np.random.default_rng(0)
+    lengths, batch = _padded_batch(b, t, rng)
+    dlogits = rng.normal(size=(b, config.num_labels)).astype(np.float32)
+
+    def step():
+        _, cache = forward(params, batch, training=True, dropout_rng=np.random.default_rng(1))
+        return backward(params, cache, dlogits)
+
+    _, cache = forward(params, batch, training=True, dropout_rng=np.random.default_rng(1))
+    cache_bytes = cache.pooled.nbytes + sum(
+        array.nbytes for layer in cache.layers for array in layer.values())
+    del cache
+    item = np.dtype(np.float32).itemsize
+    attention_backward = 2 * b * heads * t * t * item
+    feed_forward_backward = 3 * int(lengths.sum()) * d_ff * item
+    bound = cache_bytes + params.num_parameters() * item + max(
+        attention_backward, feed_forward_backward)
+
+    want = step()  # first-call allocations are not the step's
+    tracemalloc.start()
+    try:
+        grads = step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, want[name]), name
     assert peak < bound, (peak, bound)
 
 
@@ -376,15 +425,17 @@ def test_training_step_does_not_depend_on_max_len():
     def step(p, max_len):
         batch = _batch(texts, max_len=max_len)
         logits, cache = forward(p, batch, training=True, dropout_rng=np.random.default_rng(7))
-        return batch, logits, cache, backward(p, cache, dlogits)
+        masks = [(layer["drop1"], layer["drop2"]) for layer in cache.layers]
+        return batch, logits, masks, backward(p, cache, dlogits)
 
-    long_batch, long_logits, long_cache, long_grads = step(params, 16)
-    short_batch, short_logits, short_cache, short_grads = step(cut, 12)
+    long_batch, long_logits, long_masks, long_grads = step(params, 16)
+    short_batch, short_logits, short_masks, short_grads = step(cut, 12)
     assert [s.true_length for s in long_batch] == [s.true_length for s in short_batch]
     assert np.array_equal(long_logits, short_logits)
-    for long_layer, short_layer in zip(long_cache.layers, short_cache.layers):
-        for key in ("drop1", "drop2"):
-            assert np.array_equal(long_layer[key], short_layer[key]), key
+    assert len(long_masks) == len(short_masks) == config.num_layers
+    for long_layer, short_layer in zip(long_masks, short_masks):
+        for long_mask, short_mask in zip(long_layer, short_layer):
+            assert np.array_equal(long_mask, short_mask)
     assert not long_grads["position_embedding"][12:].any()
     long_grads["position_embedding"] = long_grads["position_embedding"][:12]
     for name, grad in short_grads.items():
@@ -546,12 +597,15 @@ def test_backward_zero_upstream_gives_zero_gradients():
 
 
 def test_backward_linear_in_upstream():
+    """backward consumes its cache, so each call gets its own from a
+    deterministic inference forward."""
     params = init(SMALL, seed=2, dtype=np.float64)
-    logits, cache = forward(params, _batch(TEXTS))
+    logits, cache = forward(params, _batch(TEXTS), training=False)
+    _, second_cache = forward(params, _batch(TEXTS), training=False)
     rng = np.random.default_rng(3)
     dlogits = rng.normal(size=logits.shape)
     once = backward(params, cache, dlogits)
-    twice = backward(params, cache, 2.0 * dlogits)
+    twice = backward(params, second_cache, 2.0 * dlogits)
     for name in once:
         assert np.array_equal(twice[name], 2.0 * once[name]), name
 
@@ -562,6 +616,43 @@ def test_backward_rejects_stale_cache():
     params.version += 1
     with pytest.raises(StaleCache):
         backward(params, cache, np.zeros_like(logits))
+
+
+def test_backward_consumes_its_cache_and_rejects_reuse():
+    """backward drops every activation and keeps ids and key_mask; a second
+    backward on the same cache raises StaleCache saying it was consumed."""
+    params = init(SMALL, seed=0)
+    logits, cache = forward(params, _batch(TEXTS))
+    ids, key_mask = cache.ids, cache.key_mask
+    backward(params, cache, np.ones_like(logits))
+    assert cache.layers == [] and cache.pooled is None
+    assert cache.ids is ids and cache.key_mask is key_mask
+    with pytest.raises(StaleCache, match="consumed"):
+        backward(params, cache, np.ones_like(logits))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dlogits_dtype", [np.float32, np.float64])
+def test_gradients_come_in_tensor_order_and_dtype(dtype, dlogits_dtype):
+    """Gradients come in params.tensors' key order, which global_norm sums
+    in, each in its tensor's dtype: float32 parameters with float64 dlogits
+    give float32 gradients, each the float32 rounding of the float64
+    product (the classifier's is (pooled.T @ dlogits).astype(float32))."""
+    config = replace(SMALL, dropout_rate=0.2)
+    params = init(config, seed=1, dtype=dtype)
+    batch = _batch(TEXTS)
+    logits, cache = forward(params, batch, training=True,
+                            dropout_rng=np.random.default_rng(2))
+    pooled = cache.pooled
+    dlogits = np.random.default_rng(3).normal(size=logits.shape).astype(dlogits_dtype)
+    grads = backward(params, cache, dlogits)
+    assert list(grads) == list(params.tensors)
+    for name, grad in grads.items():
+        assert grad.dtype == params.tensors[name].dtype, name
+        assert grad.shape == params.tensors[name].shape, name
+    want = (pooled.T @ dlogits).astype(dtype)
+    assert np.array_equal(grads["classifier.weight"], want)
+    assert np.array_equal(grads["classifier.bias"], dlogits.sum(axis=0).astype(dtype))
 
 
 def _gradcheck_params(config, seed):

@@ -124,19 +124,21 @@ def test_packed_pass_matches_padded_oracle(true_lengths, num_layers, dtype, drop
 
     logits, cache = forward(
         params, batch, training=True, dropout_rng=np.random.default_rng(seed + 1))
-    grads = backward(params, cache, dlogits)
-    oracle_logits, oracle_cache = padded_forward(
-        params, batch, training=True, dropout_rng=np.random.default_rng(seed + 1))
-    oracle_grads = padded_backward(params, oracle_cache, dlogits)
-
+    # Read before backward, which consumes the cache.
     per_token = ["x1", "ctx_merged", "u", "xhat2"]
     if dropout_rate > 0:
         per_token += ["drop1", "drop2"]
+    assert len(cache.layers) == num_layers
     for i, layer in enumerate(cache.layers):
         assert layer["x"].shape[0] == sum(true_lengths), (i, "x")
         rows = len(true_lengths) if i == num_layers - 1 else sum(true_lengths)
         for key in per_token:
             assert layer[key].shape[0] == rows, (i, key)
+    grads = backward(params, cache, dlogits)
+    oracle_logits, oracle_cache = padded_forward(
+        params, batch, training=True, dropout_rng=np.random.default_rng(seed + 1))
+    oracle_grads = padded_backward(params, oracle_cache, dlogits)
+
     assert set(grads) == set(oracle_grads)
     # The oracle computes every row of the last layer; OpenBLAS rounds a
     # product of batch rows apart from one of N rows, even in float64.
