@@ -635,6 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         started = time.perf_counter()
@@ -656,6 +657,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except IpsdmError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as err:  # a config too large for this machine, such as a huge d_model
+        # numpy's message names the array: "Unable to allocate 5.40 GiB for an array with ..."
+        stage = args.command if args is not None else "ipsdm"
+        print(f"out of memory in {stage}: {str(err) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INPUT
     _log_usage(args.command, time.perf_counter() - started)
     return code

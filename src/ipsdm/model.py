@@ -14,10 +14,17 @@ Inputs are padded to max_len, but forward and backward compute only the
 batch's real tokens: activations are (N, d_model) matrices of its N real
 tokens, row by row in batch order, so every projection, feed-forward
 product, GELU, layer norm, residual add and dropout multiply runs on real
-rows only. Attention alone works on a padded view, (batch, heads, T, d_head)
+rows only. Attention alone works on a padded view, (c, heads, T, d_head)
 with T the batch's longest true length, whose padded slots are zero and
-masked as keys. A batch without padding has N = batch * T and runs with no
-gather or scatter, and no key mask, at all.
+masked as keys. It runs over chunks of c consecutive sequences, sized so
+that a chunk's scores and padded arrays fit ATTENTION_CHUNK_BYTES (see
+_chunks), and writes each chunk's result into packed rows. Inference
+builds no (batch, heads, T, T) array; a training forward caches the
+probabilities in one, each chunk's scores computed in its slice, for
+backward. Every softmax and stacked product is the same in a chunk as over
+the whole batch, so the result is too, bit for bit.
+A batch without padding has N = batch * T and runs with no gather or
+scatter, and no key mask, at all.
 
 Only the first rows reach the logits. So the last layer computes its keys
 and values from every real row, but its queries, attention output, layer
@@ -38,6 +45,20 @@ from .errors import AllMasked, SequenceLengthMismatch, StaleCache
 from .tokenizer import TokenSequence, Vocabulary, encode
 
 LN_EPS = 1e-5
+# Bytes of one attention chunk's arrays: its (c, heads, T, T) scores and
+# its padded (c, T, d_model) q, k, v and context (see _chunks). Measured
+# with tracemalloc on the default model, over batches of 32 (a training
+# step) and 64 (an inference forward) at T 40 and 63, padded as on `sms`
+# and `classify`, and at T 128, 17 % padded and unpadded: both peaks reach
+# their floor at every budget from 256 KiB to 2 MiB, and 4 MiB raised them
+# at T 40 and 63 (at T 63 a step by 0.3 MiB, a forward by 0.7 MiB). Peak
+# RSS of the `train` stage, where heap layout decides, was lower at 512 KiB
+# than at 2 MiB on `classify` (61.2 against 61.6 MB) and `email` (60.2
+# against 60.3 MB), and 0.2 MB higher on `sms` (one in-process run each).
+# At T 63 a step took 34.4 ms against 35.6 ms whole-batch and 33.6 ms at
+# 2 MiB (medians of 55, one thread). A chunk is 1 sequence at T 128 and 2
+# at T 63.
+ATTENTION_CHUNK_BYTES = 512 << 10
 INIT_STD = 0.02
 INIT_TRUNC = 2.0  # truncation in units of the standard deviation
 
@@ -64,9 +85,10 @@ class ModelParameters:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations for exact backpropagation. backward
-    consumes them: it empties layers and sets pooled to None, and only ids
-    and key_mask stay."""
+    """Intermediate activations for exact backpropagation: each layer's
+    arrays as packed rows, q, k and v among them, and its (batch, heads,
+    T_q, T) attention probabilities. backward consumes them: it empties
+    layers and sets pooled to None, and only ids and key_mask stay."""
 
     ids: np.ndarray
     key_mask: np.ndarray
@@ -179,16 +201,18 @@ def attention(
     k: np.ndarray,
     v: np.ndarray,
     key_mask: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention over the trailing two axes.
 
     q: (..., T, d), k/v: (..., S, d); key_mask: broadcastable to (..., S),
     True where a key may be attended to. Masked keys get a score of -inf
     (a 0/-inf bias is added) before the softmax, which runs in place on the
-    scores. Returns (output, probabilities).
+    scores. out, if given, is a (..., T, S) array of q's dtype that receives
+    the scores, and so the probabilities. Returns (output, probabilities).
     """
     d_head = q.shape[-1]
-    scores = q @ np.swapaxes(k, -1, -2)
+    scores = np.matmul(q, np.swapaxes(k, -1, -2), out=out)
     scores /= math.sqrt(d_head)
     if key_mask is not None:
         key_mask = np.asarray(key_mask, dtype=bool)
@@ -219,12 +243,15 @@ def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     return x.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray, real: Optional[np.ndarray]) -> np.ndarray:
-    """(batch, heads, T, d_head) -> (N, heads * d_head) rows of the real
+def _merge_heads(x: np.ndarray, real: Optional[np.ndarray], out: np.ndarray) -> None:
+    """(batch, heads, T, d_head) -> out, (N, heads * d_head) rows of the real
     tokens, every (batch * T) position when real is None."""
     b, h, t, dh = x.shape
     x = x.transpose(0, 2, 1, 3)
-    return x.reshape(b * t, h * dh) if real is None else x[real].reshape(-1, h * dh)
+    if real is None:
+        out.reshape(b, t, h, dh)[...] = x
+    else:
+        out[...] = x[real].reshape(-1, h * dh)
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:
@@ -286,18 +313,107 @@ def _first_tokens(lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(lengths) - lengths
 
 
-def _query_rows(config: ModelConfig, layer: int, key_mask: np.ndarray):
+def _query_rows(config: ModelConfig, layer: int, key_mask: np.ndarray) -> Optional[np.ndarray]:
     """The packed rows that layer `layer` computes past its key and value
-    projections, as (rows, real, T) of its queries.
-
-    Every layer computes all real rows (rows None, with the key mask's real
-    and T), except the last: only each sequence's first row reaches the
-    logits, so that layer computes one unpadded query per sequence (rows
-    their packed indices, real None, T 1). Its keys and values still cover
-    every real row."""
+    projections: None, every real row, except in the last layer. Only each
+    sequence's first row reaches the logits, so that layer computes one
+    query per sequence, at these packed indices; its keys and values still
+    cover every real row."""
     if layer == config.num_layers - 1:
-        return _first_tokens(key_mask.sum(axis=1)), None, 1
-    return None, _real(key_mask), key_mask.shape[1]
+        return _first_tokens(key_mask.sum(axis=1))
+    return None
+
+
+def _chunks(key_mask: np.ndarray, config: ModelConfig, itemsize: int) -> list[tuple[slice, slice]]:
+    """Attention's chunks of consecutive sequences, as (sequences, packed
+    rows) slice pairs. A chunk of c sequences holds a (c, heads, T, T) block
+    of scores and four (c, T, d_model) padded arrays, q, k, v and the
+    context; together they take at most ATTENTION_CHUNK_BYTES, or are one
+    sequence's. A batch that fits in one chunk is one pair of whole slices."""
+    b, t = key_mask.shape
+    per_sequence = (config.num_heads * t + 4 * config.d_model) * t * itemsize
+    per = max(1, ATTENTION_CHUNK_BYTES // per_sequence)
+    if per >= b:
+        return [(slice(0, b), slice(0, None))]
+    offsets = np.concatenate([[0], np.cumsum(key_mask.sum(axis=1))])
+    return [
+        (slice(s, e), slice(int(offsets[s]), int(offsets[e])))
+        for s, e in ((s, min(s + per, b)) for s in range(0, b, per))
+    ]
+
+
+def _chunk_views(seqs, rows, real, t, last):
+    """A chunk's (c, key mask or None, its query rows, their mask, their T).
+    The last layer's queries are one packed row per sequence."""
+    mask = None if real is None else real[seqs]
+    if last:
+        return seqs.stop - seqs.start, mask, seqs, None, 1
+    return seqs.stop - seqs.start, mask, rows, mask, t
+
+
+def _padded_heads(x, real, c, t, heads):
+    """A chunk's packed rows -> its zero-padded (c, heads, T, d_head) view."""
+    return _split_heads(_padded(x, real, c, t), heads)
+
+
+def _attend(q, k, v, chunks, real, t, last, heads, probs=None):
+    """Self-attention over packed q, k and v rows, one chunk at a time: pad
+    the chunk to the batch's T, run `attention`, and write its merged context
+    into packed rows. The chunk's padded arrays, and its scores unless
+    probs is given, go before the next chunk starts. probs, if given, is the
+    (batch, heads, T_q, T) array that receives every chunk's probabilities:
+    one block, so that cached chunks leave no holes in the heap between
+    them."""
+    ctx = np.empty_like(q)
+    for seqs, rows in chunks:
+        c, mask, q_rows, q_real, q_t = _chunk_views(seqs, rows, real, t, last)
+        out = attention(
+            _padded_heads(q[q_rows], q_real, c, q_t, heads),
+            _padded_heads(k[rows], mask, c, t, heads),
+            _padded_heads(v[rows], mask, c, t, heads),
+            key_mask=None if mask is None else mask[:, None, :],
+            out=None if probs is None else probs[seqs],
+        )[0]
+        _merge_heads(out, q_real, ctx[q_rows])
+        del out
+    return ctx
+
+
+def _attend_backward(dctx, q, k, v, probs, chunks, real, t, last, heads):
+    """Gradients of _attend with respect to its packed q, k and v rows,
+    from those of its packed context rows, one chunk at a time: each
+    chunk's are written into its rows of dq, dk and dv. probs is the
+    forward's (batch, heads, T_q, T) probabilities.
+
+    Written over the cached q, k and v instead, which no later chunk reads,
+    the gradients would need no arrays of their own, but the heap came out
+    more fragmented: paper-scale `train` peaked at 134.0 MB (4 runs),
+    against 131.4-131.5 MB with these arrays (5 runs) and 129.6-129.9 MB
+    with whole-batch attention (3 runs)."""
+    scale = 1.0 / math.sqrt(q.shape[-1] // heads)
+    dtype = np.result_type(dctx, q)
+    dq, dk, dv = (np.empty(a.shape, dtype) for a in (q, k, v))
+    for seqs, rows in chunks:
+        c, mask, q_rows, q_real, q_t = _chunk_views(seqs, rows, real, t, last)
+        p = probs[seqs]
+        dctx_c = _padded_heads(dctx[q_rows], q_real, c, q_t, heads)
+        dv_c = np.swapaxes(p, -1, -2) @ dctx_c
+        # softmax backward, built in place on d(loss)/d(probs); masked
+        # entries have probs == 0, hence dscores == 0
+        dscores = dctx_c @ np.swapaxes(_padded_heads(v[rows], mask, c, t, heads), -1, -2)
+        del dctx_c
+        dscores -= (dscores * p).sum(axis=-1, keepdims=True)
+        dscores *= p
+        dq_c = dscores @ _padded_heads(k[rows], mask, c, t, heads)
+        dq_c *= scale
+        dk_c = np.swapaxes(dscores, -1, -2) @ _padded_heads(q[q_rows], q_real, c, q_t, heads)
+        del dscores
+        dk_c *= scale
+        _merge_heads(dq_c, q_real, dq[q_rows])
+        _merge_heads(dk_c, mask, dk[rows])
+        _merge_heads(dv_c, mask, dv[rows])
+        del dq_c, dk_c, dv_c
+    return dq, dk, dv
 
 
 def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -322,13 +438,17 @@ def forward(
     real tokens. The cache holds (batch, T) ids and key mask (True before
     each row's true_length), T being the longest true length, and each
     layer's activations as (N, d_model) matrices: the real tokens, row by
-    row in batch order. Attention scatters q, k and v into zero-filled
-    (batch, heads, T, d_head) arrays and gathers its context back to N rows;
-    a batch without padding (N = batch * T) does neither. The last layer
-    computes, past its key and value projections, only each sequence's
-    first row (see _query_rows), so its activations after the input have
-    batch rows and its probs (batch, heads, 1, T); those rows are the
-    pooled states the classifier reads.
+    row in batch order. q, k and v are projected as packed rows, one GEMM
+    each. Attention then runs one chunk of consecutive sequences at a time
+    (see _attend): it scatters the chunk's q, k and v into zero-filled
+    (c, heads, T, d_head) arrays, calls `attention`, and gathers the context
+    into the chunk's packed rows; a chunk without padding does neither. The
+    cache keeps q, k and v as packed rows, and the chunks' probs in one
+    (batch, heads, T, T) array, each chunk's scores computed in its slice.
+    The last layer computes, past its key and value projections, only each
+    sequence's first row (see _query_rows), so its activations after the
+    input have batch rows and its probs (batch, heads, 1, T); those rows are
+    the pooled states the classifier reads.
 
     Dropout is applied only when training=True (and dropout_rate > 0), drawing
     masks from dropout_rng in a fixed order: drop1 then drop2, layer by
@@ -338,11 +458,12 @@ def forward(
 
     The cache, which only backward reads (and consumes), is built when
     keep_cache is True (the default). With keep_cache=False the same loop
-    keeps no activations and drops each array at its last read: q, k, v,
-    the scores and the per-head context once the context is merged; the
-    merged context once it is projected; the layer's input once the
-    residual is added; the attention output once layer norm has read it;
-    gelu's u and cdf once gelu(u) @ w2 is computed. So a layer holds at
+    keeps no activations and drops each array at its last read: a chunk's
+    padded arrays, scores and per-head context before the next chunk
+    starts; the packed q, k and v once the context is merged; the merged
+    context once it is projected; the layer's input once the residual is
+    added; the attention output once layer norm has read it; gelu's u and
+    cdf once gelu(u) @ w2 is computed. So a layer holds at
     once only what it still reads, and the call returns (logits, None) with
     the same logits bit for bit. Inference (validation, evaluate, predict)
     passes keep_cache=False.
@@ -377,23 +498,23 @@ def forward(
         if keep_cache else None
     )
 
-    # Attention needs no key bias where no key is padded.
-    attn_mask = None if real is None else key_mask[:, None, :]
+    chunks = _chunks(key_mask, config, dtype.itemsize)
     # Each array goes into the cache, if one is kept, when it is built, and
     # its name is dropped at its last read: inference holds nothing past it.
     for i in range(config.num_layers):
         prefix = f"layers.{i}"
         layer: dict = {"x": x} if keep_cache else {}
-        rows, q_real, q_t = _query_rows(config, i, key_mask)
+        rows = _query_rows(config, i, key_mask)
         xq = x if rows is None else x[rows]
-        q = _split_heads(_padded(xq @ tensors[f"{prefix}.attn.w_q"], q_real, b, q_t), heads)
-        k = _split_heads(_padded(x @ tensors[f"{prefix}.attn.w_k"], real, b, t), heads)
-        v = _split_heads(_padded(x @ tensors[f"{prefix}.attn.w_v"], real, b, t), heads)
-        ctx, probs = attention(q, k, v, key_mask=attn_mask)
-        ctx_merged = _merge_heads(ctx, q_real)
+        q = xq @ tensors[f"{prefix}.attn.w_q"]
+        k = x @ tensors[f"{prefix}.attn.w_k"]
+        v = x @ tensors[f"{prefix}.attn.w_v"]
+        q_t = 1 if rows is not None else t
+        probs = np.empty((b, heads, q_t, t), q.dtype) if keep_cache else None
+        ctx_merged = _attend(q, k, v, chunks, real, t, rows is not None, heads, probs)
         if keep_cache:
             layer.update(q=q, k=k, v=v, probs=probs, ctx_merged=ctx_merged)
-        del q, k, v, ctx, probs
+        del q, k, v, probs
         attn_out = ctx_merged @ tensors[f"{prefix}.attn.w_o"]
         del ctx_merged
         if use_dropout:
@@ -438,10 +559,14 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of the loss w.r.t. every tensor, given d(loss)/d(logits).
 
-    Per-token gradients run on the rows forward computed, attention's on
-    its padded view; the last layer passes its query rows' input gradient
-    back to the first rows and its key and value gradients to every row.
-    Weight gradients do not depend on the BLAS thread count.
+    Per-token gradients run on the rows forward computed. Attention's run
+    over the same chunks of sequences as in forward (see _attend_backward):
+    each chunk's context gradient, q, k and v are padded again, and its dq,
+    dk and dv are gathered into the chunk's packed rows. Every
+    weight-gradient GEMM and every sum over rows runs whole, on the packed
+    rows. The last layer passes its query rows' input
+    gradient back to the first rows and its key and value gradients to
+    every row. Weight gradients do not depend on the BLAS thread count.
     Position-embedding rows at or past the cache's length T get zero
     gradient.
 
@@ -469,8 +594,8 @@ def backward(
     key_mask = cache.key_mask
     real = _real(key_mask)
     b, t = cache.ids.shape
-    d, heads = config.d_model, config.num_heads
-    scale = 1.0 / math.sqrt(d // heads)
+    heads = config.num_heads
+    chunks = _chunks(key_mask, config, tensors["token_embedding"].dtype.itemsize)
 
     pooled, cache.pooled = cache.pooled, None
     put("classifier.weight", _weight_grad(pooled, dlogits))
@@ -481,7 +606,7 @@ def backward(
     for i in reversed(range(config.num_layers)):
         prefix = f"layers.{i}"
         layer = cache.layers.pop()
-        rows, q_real, q_t = _query_rows(config, i, key_mask)
+        rows = _query_rows(config, i, key_mask)
 
         dln2_in, dscale2, doffset2 = _layer_norm_backward(
             dx, layer.pop("xhat2"), layer.pop("inv_std2"), tensors[f"{prefix}.ln2.scale"]
@@ -511,49 +636,35 @@ def backward(
         put(f"{prefix}.ln1.offset", doffset1)
 
         dattn_out = dln1_in * layer.pop("drop1") if "drop1" in layer else dln1_in
-        dctx = _padded(dattn_out @ tensors[f"{prefix}.attn.w_o"].T, q_real, b, q_t)
-        dctx = _split_heads(dctx, heads)
+        dctx = dattn_out @ tensors[f"{prefix}.attn.w_o"].T
         put(f"{prefix}.attn.w_o", _weight_grad(layer.pop("ctx_merged"), dattn_out))
         del dattn_out
 
-        probs = layer.pop("probs")
-        dv = np.swapaxes(probs, -1, -2) @ dctx
-        # softmax backward, built in place on d(loss)/d(probs); masked
-        # entries have probs == 0, hence dscores == 0
-        dscores = dctx @ np.swapaxes(layer.pop("v"), -1, -2)
+        dq, dk, dv = _attend_backward(
+            dctx, layer.pop("q"), layer.pop("k"), layer.pop("v"), layer.pop("probs"),
+            chunks, real, t, rows is not None, heads,
+        )
         del dctx
-        dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
-        dscores *= probs
-        del probs
-        dq = dscores @ layer.pop("k")
-        dq *= scale
-        dk = np.swapaxes(dscores, -1, -2) @ layer.pop("q")
-        del dscores
-        dk *= scale
 
         # The query rows' input gradient: residual plus query path.
         dxq = dln1_in  # no longer read, so the sum can build in place
         del dln1_in
-        g = _merge_heads(dq, q_real)
-        del dq
         x_in = layer.pop("x")
-        put(f"{prefix}.attn.w_q", _weight_grad(x_in if rows is None else x_in[rows], g))
-        dxq += g @ tensors[f"{prefix}.attn.w_q"].T
+        put(f"{prefix}.attn.w_q", _weight_grad(x_in if rows is None else x_in[rows], dq))
+        dxq += dq @ tensors[f"{prefix}.attn.w_q"].T
+        del dq
         if rows is None:
             dx = dxq
         else:
             dx = np.zeros_like(x_in)
             dx[rows] = dxq
         del dxq
-        g = _merge_heads(dk, real)
+        put(f"{prefix}.attn.w_k", _weight_grad(x_in, dk))
+        dx += dk @ tensors[f"{prefix}.attn.w_k"].T
         del dk
-        put(f"{prefix}.attn.w_k", _weight_grad(x_in, g))
-        dx += g @ tensors[f"{prefix}.attn.w_k"].T
-        g = _merge_heads(dv, real)
-        del dv
-        put(f"{prefix}.attn.w_v", _weight_grad(x_in, g))
-        dx += g @ tensors[f"{prefix}.attn.w_v"].T
-        del g, x_in
+        put(f"{prefix}.attn.w_v", _weight_grad(x_in, dv))
+        dx += dv @ tensors[f"{prefix}.attn.w_v"].T
+        del dv, x_in
 
     grads["position_embedding"] = np.zeros_like(tensors["position_embedding"])
     grads["position_embedding"][:t] += _padded(dx, real, b, t).sum(axis=0)

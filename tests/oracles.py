@@ -13,7 +13,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from ipsdm.model import LN_EPS, attention, gelu, gelu_grad
+from ipsdm.model import (
+    LN_EPS,
+    _dropout_mask,
+    _first_tokens,
+    _layer_norm,
+    _layer_norm_backward,
+    _padded,
+    _real,
+    _weight_grad,
+    attention,
+    gelu,
+    gelu_grad,
+)
+from ipsdm.model import _split_heads as _model_split_heads
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +427,171 @@ def padded_backward(params, cache, dlogits):
     dx = dx.reshape(b, t, d)
     grads["position_embedding"][:t] += dx.sum(axis=0)
     np.add.at(grads["token_embedding"], cache["ids"], dx)
+    return grads
+
+
+# ---------------------------------------------------------------------------
+# encoder: packed rows, with attention over the whole batch at once
+
+
+def _gather_heads(x, real):
+    """(batch, heads, T, d_head) -> packed (N, heads * d_head) rows of the
+    real tokens, every (batch * T) position when real is None."""
+    b, h, t, dh = x.shape
+    x = x.transpose(0, 2, 1, 3)
+    return x.reshape(b * t, h * dh) if real is None else x[real].reshape(-1, h * dh)
+
+
+def whole_batch_forward(params, batch, training=False, dropout_rng=None):
+    """model.forward's packed rows, with each layer's attention run once
+    over the whole batch: q, k and v scattered into zero-filled (batch,
+    heads, T, d_head) arrays, one `attention` call, and the context gathered
+    back to packed rows. Everything else is model.forward's, op for op, so
+    its logits, and whole_batch_backward's gradients, must equal the chunked
+    path's byte for byte. Returns (logits, cache), the cache a dict whose
+    layers hold padded q, k, v and whole-batch probs."""
+    config = params.config
+    lengths = np.array([seq.true_length for seq in batch])
+    t = int(lengths.max())
+    ids = np.array([seq.ids[:t] for seq in batch], dtype=np.int64)
+    key_mask = np.arange(t) < lengths[:, None]
+    real = _real(key_mask)
+    tensors = params.tensors
+    dtype = tensors["token_embedding"].dtype
+    use_dropout = training and config.dropout_rate > 0.0
+    b, d, heads = len(batch), config.d_model, config.num_heads
+
+    if real is None:
+        x = tensors["token_embedding"][ids]
+        x += tensors["position_embedding"][:t]
+        x = x.reshape(b * t, d)
+    else:
+        x = tensors["token_embedding"][ids[real]]
+        x += tensors["position_embedding"][np.nonzero(real)[1]]
+    attn_mask = None if real is None else key_mask[:, None, :]
+    cache = {"ids": ids, "key_mask": key_mask, "layers": []}
+    for i in range(config.num_layers):
+        prefix = f"layers.{i}"
+        layer = {"x": x}
+        last = i == config.num_layers - 1
+        rows = _first_tokens(lengths) if last else None
+        q_real, q_t = (None, 1) if last else (real, t)
+        xq = x if rows is None else x[rows]
+        q = _model_split_heads(_padded(xq @ tensors[f"{prefix}.attn.w_q"], q_real, b, q_t), heads)
+        k = _model_split_heads(_padded(x @ tensors[f"{prefix}.attn.w_k"], real, b, t), heads)
+        v = _model_split_heads(_padded(x @ tensors[f"{prefix}.attn.w_v"], real, b, t), heads)
+        ctx, probs = attention(q, k, v, key_mask=attn_mask)
+        ctx_merged = _gather_heads(ctx, q_real)
+        attn_out = ctx_merged @ tensors[f"{prefix}.attn.w_o"]
+        if use_dropout:
+            layer["drop1"] = _dropout_mask(dropout_rng, attn_out.shape, config.dropout_rate, dtype)
+            attn_out *= layer["drop1"]
+        attn_out += xq
+        x1, xhat1, inv_std1 = _layer_norm(
+            attn_out, tensors[f"{prefix}.ln1.scale"], tensors[f"{prefix}.ln1.offset"]
+        )
+        u = x1 @ tensors[f"{prefix}.ff.w1"]
+        cdf = np.empty_like(u)
+        ff_out = gelu(u, cdf) @ tensors[f"{prefix}.ff.w2"]
+        if use_dropout:
+            layer["drop2"] = _dropout_mask(dropout_rng, ff_out.shape, config.dropout_rate, dtype)
+            ff_out *= layer["drop2"]
+        ff_out += x1
+        x, xhat2, inv_std2 = _layer_norm(
+            ff_out, tensors[f"{prefix}.ln2.scale"], tensors[f"{prefix}.ln2.offset"]
+        )
+        layer.update(
+            q=q, k=k, v=v, probs=probs, ctx_merged=ctx_merged, xhat1=xhat1, inv_std1=inv_std1,
+            x1=x1, u=u, cdf=cdf, xhat2=xhat2, inv_std2=inv_std2,
+        )
+        cache["layers"].append(layer)
+
+    cache["pooled"] = x
+    logits = x @ tensors["classifier.weight"] + tensors["classifier.bias"]
+    return logits, cache
+
+
+def whole_batch_backward(params, cache, dlogits):
+    """model.backward over whole_batch_forward's cache: the attention
+    backward runs once over the padded (batch, heads, T, T) probs, and the
+    query, key and value gradients are gathered back to packed rows."""
+    config = params.config
+    tensors = params.tensors
+    grads = dict.fromkeys(tensors)
+
+    def put(name, grad):
+        grads[name] = grad.astype(tensors[name].dtype, copy=False)
+
+    key_mask = cache["key_mask"]
+    real = _real(key_mask)
+    b, t = cache["ids"].shape
+    d, heads = config.d_model, config.num_heads
+    scale = 1.0 / math.sqrt(d // heads)
+
+    put("classifier.weight", _weight_grad(cache["pooled"], dlogits))
+    put("classifier.bias", dlogits.sum(axis=0))
+    dx = dlogits @ tensors["classifier.weight"].T
+
+    for i in reversed(range(config.num_layers)):
+        prefix = f"layers.{i}"
+        layer = cache["layers"][i]
+        last = i == config.num_layers - 1
+        rows = _first_tokens(key_mask.sum(axis=1)) if last else None
+        q_real, q_t = (None, 1) if last else (real, t)
+
+        dln2_in, dscale2, doffset2 = _layer_norm_backward(
+            dx, layer["xhat2"], layer["inv_std2"], tensors[f"{prefix}.ln2.scale"]
+        )
+        put(f"{prefix}.ln2.scale", dscale2)
+        put(f"{prefix}.ln2.offset", doffset2)
+        dff_out = dln2_in * layer["drop2"] if "drop2" in layer else dln2_in
+        du = dff_out @ tensors[f"{prefix}.ff.w2"].T
+        u, cdf = layer["u"], layer["cdf"]
+        put(f"{prefix}.ff.w2", _weight_grad(u * cdf, dff_out))
+        du *= gelu_grad(u, cdf)
+        put(f"{prefix}.ff.w1", _weight_grad(layer["x1"], du))
+        dx1 = du @ tensors[f"{prefix}.ff.w1"].T
+        dx1 += dln2_in
+
+        dln1_in, dscale1, doffset1 = _layer_norm_backward(
+            dx1, layer["xhat1"], layer["inv_std1"], tensors[f"{prefix}.ln1.scale"]
+        )
+        put(f"{prefix}.ln1.scale", dscale1)
+        put(f"{prefix}.ln1.offset", doffset1)
+        dattn_out = dln1_in * layer["drop1"] if "drop1" in layer else dln1_in
+        dctx = _model_split_heads(
+            _padded(dattn_out @ tensors[f"{prefix}.attn.w_o"].T, q_real, b, q_t), heads)
+        put(f"{prefix}.attn.w_o", _weight_grad(layer["ctx_merged"], dattn_out))
+
+        probs = layer["probs"]
+        dv = np.swapaxes(probs, -1, -2) @ dctx
+        dscores = dctx @ np.swapaxes(layer["v"], -1, -2)
+        dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+        dscores *= probs
+        dq = dscores @ layer["k"]
+        dq *= scale
+        dk = np.swapaxes(dscores, -1, -2) @ layer["q"]
+        dk *= scale
+
+        dxq = dln1_in
+        g = _gather_heads(dq, q_real)
+        x_in = layer["x"]
+        put(f"{prefix}.attn.w_q", _weight_grad(x_in if rows is None else x_in[rows], g))
+        dxq += g @ tensors[f"{prefix}.attn.w_q"].T
+        if rows is None:
+            dx = dxq
+        else:
+            dx = np.zeros_like(x_in)
+            dx[rows] = dxq
+        for name, grad in (("w_k", dk), ("w_v", dv)):
+            g = _gather_heads(grad, real)
+            put(f"{prefix}.attn.{name}", _weight_grad(x_in, g))
+            dx += g @ tensors[f"{prefix}.attn.{name}"].T
+
+    grads["position_embedding"] = np.zeros_like(tensors["position_embedding"])
+    grads["position_embedding"][:t] += _padded(dx, real, b, t).sum(axis=0)
+    grads["token_embedding"] = np.zeros_like(tensors["token_embedding"])
+    np.add.at(grads["token_embedding"], cache["ids"][key_mask], dx)
     return grads
 
 

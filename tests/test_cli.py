@@ -28,7 +28,7 @@ from ipsdm.model import ModelConfig, init
 from ipsdm.tokenizer import load_vocab, save_vocab, train_vocab, vocab_sha256
 from ipsdm.trainer import Checkpoint, save_checkpoint
 import ipsdm
-from ipsdm import heap
+from ipsdm import cli, heap
 
 from conftest import make_separable_corpus, rewrite_checkpoint
 from ipsdm.corpus import Label
@@ -405,6 +405,32 @@ def test_train_writes_checkpoint_and_history(pipeline):
     assert [r["epoch"] for r in history] == [1, 2]
     for record in history:
         assert set(record) >= {"epoch", "train_loss", "val_loss", "val_accuracy", "learning_rate"}
+
+
+NUMPY_OOM = ("Unable to allocate 5.40 GiB for an array with shape (1811, 400000) and data "
+             "type float64")
+
+
+@pytest.mark.parametrize("argv, call, error, named", [
+    (["train"], "run_training", MemoryError(NUMPY_OOM), NUMPY_OOM),
+    (["evaluate", "--split", "test"], "evaluate_checkpoint", MemoryError(NUMPY_OOM), NUMPY_OOM),
+    (["train"], "run_training", MemoryError(), "an allocation failed"),
+])
+def test_an_allocation_that_fails_exits_input_naming_the_stage(
+    pipeline, monkeypatch, capsys, argv, call, error, named
+):
+    """A config too large to allocate, such as a huge model.d_model, makes
+    numpy raise MemoryError; the stage exits 2 with one line naming the
+    stage and the failed allocation, not a traceback. The call raises as
+    numpy would, so the test allocates nothing large."""
+    config, _ = pipeline
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, call, fail)
+    assert main([*argv, "--config", str(config)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"out of memory in {argv[0]}: {named}\n"
 
 
 def test_train_requires_balanced_file_when_balancing_enabled(tmp_path, capsys):

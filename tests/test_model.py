@@ -265,23 +265,35 @@ def _padded_batch(b, t, rng):
     return lengths, batch
 
 
-def test_inference_peak_stays_below_one_layer_of_attention_and_feed_forward_arrays():
-    """forward(keep_cache=False) drops each array at its last read. Held to
-    the layer's end instead, a full layer's padded q, k, v, attention
-    scores and per-head context would be alive beside its feed-forward's u
-    and cdf; the traced peak of an inference forward on a padded batch
-    stays below those arrays' bytes alone, and its logits are those of
+# Shapes at which a whole batch's attention arrays dwarf one chunk's:
+# (16, 4, 96, 96) float32 scores are 2.4 MB. The memory tests set the chunk
+# budget to two sequences' scores and padded q, k, v and context.
+MEM_B, MEM_T, MEM_D, MEM_HEADS, MEM_D_FF = 16, 96, 32, 4, 64
+MEM_CHUNK = 2 * (MEM_HEADS * MEM_T + 4 * MEM_D) * MEM_T * np.dtype(np.float32).itemsize
+
+
+def test_inference_peak_stays_below_packed_rows_and_one_attention_chunk(monkeypatch):
+    """forward(keep_cache=False) runs attention one chunk of sequences at a
+    time and drops each array at its last read. So its traced peak on a
+    padded batch stays below the larger of a layer's two phases, plus one
+    more packed (N, d) array for a chunk's gathered context rows and the
+    small per-row arrays. Attention holds five packed (N, d) arrays (the
+    layer's input, q, k, v and the merged context) and one chunk's
+    attention arrays, the chunk budget; the feed-forward holds two
+    (its input and output) and three (N, d_ff) arrays (u, cdf and gelu(u)).
+    Attention over the whole padded batch, or a chunk's scores held while
+    the next chunk runs, exceed it. The logits are those of
     keep_cache=True, bit for bit. Three layers, so that a middle layer's
     attention runs after a full layer's feed-forward."""
-    b, t, d, heads, d_ff = 16, 64, 32, 4, 128
+    b, t, d, heads, d_ff = MEM_B, MEM_T, MEM_D, MEM_HEADS, MEM_D_FF
+    monkeypatch.setattr(model, "ATTENTION_CHUNK_BYTES", MEM_CHUNK)
     config = ModelConfig(3, heads, d, d_ff, t, 280)
     params = init(config, seed=2)
     lengths, batch = _padded_batch(b, t, np.random.default_rng(0))
     item = np.dtype(np.float32).itemsize
-    padded = b * t * d * item  # q, k, v and the per-head context, each
-    scores = b * heads * t * t * item
-    ff = int(lengths.sum()) * d_ff * item  # u and cdf, each
-    bound = 4 * padded + scores + 2 * ff
+    rows = int(lengths.sum()) * d * item
+    ff_rows = int(lengths.sum()) * d_ff * item
+    bound = max(5 * rows + MEM_CHUNK, 2 * rows + 3 * ff_rows) + rows
 
     cached, _ = forward(params, batch)
     forward(params, batch, keep_cache=False)  # first-call allocations are not the pass's
@@ -295,16 +307,34 @@ def test_inference_peak_stays_below_one_layer_of_attention_and_feed_forward_arra
     assert peak < bound, (peak, bound)
 
 
-def test_training_step_peak_stays_below_cache_gradients_and_one_layer_of_temporaries():
-    """backward consumes its cache, drops each temporary at its last read
-    and writes each gradient once. The traced peak of a training forward
-    plus backward on a padded batch then stays below the cache's bytes,
-    plus the gradients', plus one layer's largest backward temporaries:
-    the attention's dscores and its dscores * probs product, b*h*T*T each,
-    or the feed-forward's du and gelu_grad's two N*d_ff arrays. A backward
-    that holds the whole cache, a zeroed gradient set and the temporaries
-    of the layer above exceeds it."""
-    b, t, d, heads, d_ff = 16, 64, 32, 4, 128
+def _training_cache_bytes(config, b, t, n, itemsize):
+    """A training cache's bytes from its shapes. Below the last layer, ten
+    packed (N, d) arrays (x, q, k, v, the merged context, x1, the two
+    normalized inputs and the two dropout masks), u and cdf (N, d_ff), two
+    inverse deviations (N, 1) and the chunks' probs, (b, heads, T, T) in
+    all. The last layer keeps x, k and v on N rows, and the rest, with
+    (b, heads, 1, T) probs, on b rows; pooled is (b, d)."""
+    d, f, heads = config.d_model, config.d_ff, config.num_heads
+
+    def layer(rows, queries, t_q):
+        return ((3 * rows + 7 * queries) * d + 2 * queries * f + 2 * queries
+                + b * heads * t_q * t) * itemsize
+
+    return (config.num_layers - 1) * layer(n, n, t) + layer(n, b, 1) + b * d * itemsize
+
+
+def test_training_step_peak_stays_below_cache_gradients_and_one_attention_chunk(monkeypatch):
+    """The training forward caches q, k and v as packed rows and each
+    chunk's probs, and backward runs attention's backward one chunk at a
+    time, writing each chunk's dq, dk and dv into packed rows. So the
+    traced peak of a training forward plus backward on a padded batch
+    stays below the cache's bytes (from its shapes, see
+    _training_cache_bytes), plus the gradients', plus the larger of one
+    chunk's attention arrays, the chunk budget, and the feed-forward's du
+    and gelu_grad's two N*d_ff arrays. A cache of padded q, k and v, or
+    a backward over the whole batch's (b, heads, T, T) scores, exceeds it."""
+    b, t, d, heads, d_ff = MEM_B, MEM_T, MEM_D, MEM_HEADS, MEM_D_FF
+    monkeypatch.setattr(model, "ATTENTION_CHUNK_BYTES", MEM_CHUNK)
     config = ModelConfig(3, heads, d, d_ff, t, 280, dropout_rate=0.1)
     params = init(config, seed=2)
     rng = np.random.default_rng(0)
@@ -315,15 +345,10 @@ def test_training_step_peak_stays_below_cache_gradients_and_one_layer_of_tempora
         _, cache = forward(params, batch, training=True, dropout_rng=np.random.default_rng(1))
         return backward(params, cache, dlogits)
 
-    _, cache = forward(params, batch, training=True, dropout_rng=np.random.default_rng(1))
-    cache_bytes = cache.pooled.nbytes + sum(
-        array.nbytes for layer in cache.layers for array in layer.values())
-    del cache
     item = np.dtype(np.float32).itemsize
-    attention_backward = 2 * b * heads * t * t * item
-    feed_forward_backward = 3 * int(lengths.sum()) * d_ff * item
-    bound = cache_bytes + params.num_parameters() * item + max(
-        attention_backward, feed_forward_backward)
+    n = int(lengths.sum())
+    bound = (_training_cache_bytes(config, b, t, n, item) + params.num_parameters() * item
+             + max(MEM_CHUNK, 3 * n * d_ff * item))
 
     want = step()  # first-call allocations are not the step's
     tracemalloc.start()

@@ -1,4 +1,4 @@
-"""Property tests: the packed, trimmed forward/backward against two oracles.
+"""Property tests: the packed, trimmed forward/backward against three oracles.
 
 `forward` computes only the batch's N real tokens, held as (N, d_model)
 rows, up to the batch's longest true length T.
@@ -19,16 +19,26 @@ nothing to any gradient. Logits and every gradient must agree to rounding;
 `cache.ids` must have T columns, so that a silent return to full-length
 compute fails here, and `cache.key_mask` must mark exactly each row's first
 true_length positions.
+
+The whole-batch oracle, `whole_batch_forward` and `whole_batch_backward`,
+is the packed path with each layer's attention run once over the whole
+padded batch. `forward` and `backward` run it in chunks of consecutive
+sequences instead; every softmax and stacked product is the same either
+way, so logits and every gradient must be byte-equal to the oracle's, at
+batch sizes around the chunk size.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ipsdm import model
 from ipsdm.model import ModelConfig, backward, forward, init
 from ipsdm.tokenizer import CLS_ID, PAD_ID, SEP_ID, TokenSequence
 
-from oracles import padded_backward, padded_forward
+from oracles import padded_backward, padded_forward, whole_batch_backward, whole_batch_forward
 
 MAX_LEN = 16
 VOCAB = 40
@@ -146,3 +156,51 @@ def test_packed_pass_matches_padded_oracle(true_lengths, num_layers, dtype, drop
     for name, grad in grads.items():
         assert grad.dtype == dtype
         _assert_close(grad, oracle_grads[name], name)
+
+
+@given(
+    chunk=st.integers(1, 3),
+    size=st.sampled_from(["1", "c-1", "c", "c+1", "2c+1"]),
+    padded=st.booleans(),
+    num_layers=st.integers(1, 3),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    dlogits_dtype=st.sampled_from([None, np.float64]),
+    dropout_rate=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**16),
+)
+def test_chunked_attention_matches_whole_batch_oracle_byte_for_byte(
+        chunk, size, padded, num_layers, dtype, dlogits_dtype, dropout_rate, seed):
+    b = {"1": 1, "c-1": max(chunk - 1, 1), "c": chunk, "c+1": chunk + 1, "2c+1": 2 * chunk + 1}[size]
+    config = ModelConfig(
+        num_layers=num_layers, num_heads=2, d_model=8, d_ff=16, max_len=MAX_LEN,
+        vocab_size=VOCAB, dropout_rate=dropout_rate,
+    )
+    params = _params(config, seed, dtype)
+    rng = np.random.default_rng(seed)
+    if padded:  # the longest row sets T, and every other row is shorter
+        t = int(rng.integers(3, MAX_LEN + 1))
+        true_lengths = [t] + [int(n) for n in rng.integers(2, t, size=b - 1)]
+        rng.shuffle(true_lengths)
+    else:
+        true_lengths = [int(rng.integers(2, MAX_LEN + 1))] * b
+    t = max(true_lengths)
+    batch = [_sequence(rng, n) for n in true_lengths]
+    dlogits = rng.normal(size=(b, config.num_labels)).astype(dlogits_dtype or dtype)
+    # A budget of exactly `chunk` sequences' attention arrays at this T.
+    budget = chunk * (config.num_heads * t + 4 * config.d_model) * t * np.dtype(dtype).itemsize
+
+    with mock.patch.object(model, "ATTENTION_CHUNK_BYTES", budget):
+        logits, cache = forward(
+            params, batch, training=True, dropout_rng=np.random.default_rng(seed + 1))
+        grads = backward(params, cache, dlogits)
+        inference, _ = forward(params, batch, keep_cache=False)
+    oracle_logits, oracle_cache = whole_batch_forward(
+        params, batch, training=True, dropout_rng=np.random.default_rng(seed + 1))
+    oracle_grads = whole_batch_backward(params, oracle_cache, dlogits)
+
+    assert logits.tobytes() == oracle_logits.tobytes()
+    assert inference.tobytes() == whole_batch_forward(params, batch)[0].tobytes()
+    assert list(grads) == list(oracle_grads)
+    for name, grad in grads.items():
+        assert grad.dtype == oracle_grads[name].dtype == dtype, name
+        assert grad.tobytes() == oracle_grads[name].tobytes(), name
